@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,12 +37,11 @@ from .errors import ConfigError, DatasetFormatError, ParameterError, StabkitErro
 from .plant import ExpertPolicy, PlantModel
 from .stability_analyzer import (
     AxisSpec,
-    DEFAULT_SWEEP_SIM,
     StabilityVerdict,
     analytic_1d,
     analytic_ndim,
-    evaluate_sweep_cell,
     stable_boundary_points,
+    sweep_region,
 )
 
 _SECTION_KEYS = {
@@ -335,26 +333,15 @@ def _parse_axis_flag(text: str) -> AxisSpec:
         raise ParameterError(f"bad axis spec {text!r}: {exc}") from exc
 
 
-def _sweep_task(payload):
-    base, n1, v1, n2, v2, index, empirical, sim_config = payload
-    return evaluate_sweep_cell(base, n1, v1, n2, v2, index, empirical, sim_config)
-
-
 def cmd_sweep(args) -> int:
+    if args.jobs < 0:
+        raise ParameterError(f"--jobs must be >= 0, got {args.jobs}")
     config = _load_config(args.config, require=("plant", "policy", "diffusion"))
     plant, policy, diffusion = config.plant, config.policy, config.diffusion
     if plant.n_states != 1 or plant.n_inputs != 1:
         raise ParameterError("sweep requires a scalar plant")
     axis1 = _parse_axis_flag(args.axis1)
     axis2 = _parse_axis_flag(args.axis2)
-    if axis1.name == axis2.name:
-        raise ParameterError("sweep axes must name two different parameters")
-    names = {axis1.name, axis2.name}
-    if "kprime" in names and names & {"sigma", "g", "alpha"}:
-        raise ParameterError(
-            "a kprime axis fixes sigma from g and alpha and cannot be combined "
-            "with a sigma, g, or alpha axis"
-        )
     base = {
         "A": float(plant.A[0, 0]),
         "B": float(plant.B[0, 0]),
@@ -363,27 +350,9 @@ def cmd_sweep(args) -> int:
         "g": diffusion.g,
         "alpha": diffusion.alpha,
     }
-    sim_config = config.coupling if config.coupling is not None else DEFAULT_SWEEP_SIM
-
-    values1 = axis1.values()
-    values2 = axis2.values()
-    payloads = []
-    index = 0
-    for v1 in values1:
-        for v2 in values2:
-            payloads.append(
-                (base, axis1.name, float(v1), axis2.name, float(v2), index,
-                 bool(args.empirical), sim_config)
-            )
-            index += 1
-
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if jobs > 1 and len(payloads) >= 32:
-        chunk = max(1, len(payloads) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            cells = list(executor.map(_sweep_task, payloads, chunksize=chunk))
-    else:
-        cells = [_sweep_task(payload) for payload in payloads]
+    cells = sweep_region(
+        base, axis1, axis2, empirical=bool(args.empirical), sim_config=config.coupling
+    )
 
     lines = ["axis1,axis2,analytic_label,analytic_margin_min,empirical_label,empirical_rate"]
     for cell in cells:
@@ -411,8 +380,8 @@ def cmd_sweep(args) -> int:
         ]
         boundary = stable_boundary_points(cells, axis1.steps, axis2.steps)
         svg = _svg.region_map(
-            list(values1),
-            list(values2),
+            list(axis1.values()),
+            list(axis2.values()),
             stable_grid,
             boundary,
             title="stability region",
@@ -460,8 +429,9 @@ def cmd_phase_plane(args) -> int:
         trajectory = simulate(plant, run_policy, diffusion, run_config)
         xs = trajectory.states[:, 0] + setpoint
         us = trajectory.actions[:, 0]
-        for t, x, u in zip(trajectory.times, xs, us):
-            lines.append(f"{name},{t:.17g},{x:.17g},{u:.17g}")
+        row = name + ",%.17g,%.17g,%.17g"
+        values = np.column_stack([trajectory.times, xs, us]).ravel().tolist()
+        lines.append("\n".join([row] * len(trajectory)) % tuple(values))
         verdict = classify_empirical(trajectory)
         summary.append(
             {
@@ -519,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("-o", "--output")
     p_sw.add_argument("--svg")
     p_sw.add_argument("--empirical", action="store_true")
-    p_sw.add_argument("--jobs", type=int, default=0, help="worker processes (default: all cores)")
+    p_sw.add_argument("--jobs", type=int, default=0, help="ignored; kept for compatibility")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_ph = sub.add_parser("phase-plane", help="expert and controller trajectories in (x, u)")

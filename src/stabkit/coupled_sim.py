@@ -14,18 +14,23 @@ Three coupling modes are supported:
 Integration is explicit Euler (Euler-Maruyama when stochastic) with fixed
 step dt. Per-step coupling advances the plant with the pre-update action so
 the two updates commute to O(dt^2).
+
+The coupled system is linear, so every mode compiles to one affine step map
+z <- M z + c + G xi on the joint state z = (e, u), with xi the step's
+standard normal draws. One rollout advances a batch of such maps.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import matrixkit
-from .diffusion_controller import DiffusionParams, RngStream, full_denoise
+from .diffusion_controller import DiffusionParams, RngStream, default_inner_dt
 from .errors import DimensionError, ParameterError
 from .plant import ExpertPolicy, PlantModel
 
@@ -40,6 +45,16 @@ RATE_DEADBAND = 0.02
 _NORM_FLOOR = 1e-300
 
 _MIN_STEPS = 10
+
+# Recorded samples per vectorized block: the length of the power table.
+_BLOCK = 128
+
+# Largest entry a power of a step map may have and still be applied to a
+# recorded state, which is at most the blow-up bound.
+_POWER_CAP = 1e100
+
+# Floats of records and power tables one batch of rollouts may hold.
+_BATCH_FLOATS = 1 << 17
 
 
 class CouplingMode(str, Enum):
@@ -152,156 +167,201 @@ def simulate(
     recorded. Divergence (a recorded norm beyond the blow-up bound, or a
     non-finite value) stops the run early with ``diverged=True``.
     """
+    return next(simulate_many([(plant, policy, diffusion, config)]))
+
+
+def simulate_many(runs: Iterable[tuple]) -> Iterator[Trajectory]:
+    """Yield ``simulate(plant, policy, diffusion, config)`` for every run,
+    in order. Consecutive runs with the same step count, stride and
+    dimensions roll out together, in batches of bounded memory."""
+    batch: list = []
+    for plant, policy, diffusion, config in runs:
+        step_map = _compile(plant, policy, diffusion, config)
+        dim, noise = step_map[0].shape[0], step_map[2]
+        shape = (config.n_steps, config.record_stride, plant.n_states, dim,
+                 None if noise is None else noise.shape[1])
+        # A row holds its records and a table of _BLOCK step-map powers.
+        row_floats = (config.n_steps // config.record_stride + 2 + _BLOCK * dim) * (dim + 1)
+        if batch and (shape != batch[0][0] or len(batch) * row_floats >= _BATCH_FLOATS):
+            yield from _rollout(batch)
+            batch = []
+        batch.append((shape, step_map, config))
+    if batch:
+        yield from _rollout(batch)
+
+
+def _compile(
+    plant: PlantModel,
+    policy: ExpertPolicy,
+    diffusion: DiffusionParams,
+    config: CouplingConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One plant step of the coupling mode as ``z <- M z + c + G xi`` on the
+    joint state z = (e, u). xi holds the step's standard normal draws in the
+    order the reference functions consume them; G is None when the step
+    draws nothing.
+
+    Each mode sets the new action u' = F_e e + F_u u + f + W xi. Per-step
+    coupling advances the plant with the pre-update action u, the others with
+    u'. The inner loop's n updates u <- P u + Q e + d, from xi_0 (or 0 when
+    deterministic), sum to F_e = sum_j P^j Q, f = sum_j P^j d and
+    W = [P^n, s P^(n-1), ..., s I].
+    """
     _validate_dims(plant, policy, config)
-    if diffusion.drift is not None and diffusion.drift.shape[0] != plant.n_inputs:
-        raise DimensionError(
-            f"drift has length {diffusion.drift.shape[0]}, plant expects "
-            f"{plant.n_inputs}"
-        )
-    scalar = (
-        plant.n_states == 1
-        and plant.n_inputs == 1
-        and not diffusion.stochastic
-    )
-    if scalar:
-        times, states, actions, diverged = _run_scalar(plant, policy, diffusion, config)
-    else:
-        times, states, actions, diverged = _run_generic(plant, policy, diffusion, config)
-    return Trajectory(
-        times=np.array(times, dtype=float),
-        states=np.array(states, dtype=float),
-        actions=np.array(actions, dtype=float),
-        config=config,
-        diverged=diverged,
-    )
-
-
-def _run_generic(plant, policy, diffusion, config):
     n, m = plant.n_states, plant.n_inputs
-    dt = config.dt
-    steps = config.n_steps
-    stride = config.record_stride
-    mode = config.mode
-    rng = RngStream(config.seed)
-    blow = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(config.e0)))
-
-    a_mat, b_mat, k_mat = plant.A, plant.B, policy.K
-    gain = diffusion.g * diffusion.g * diffusion.alpha
-    sigma_inv = matrixkit.invert(policy.Sigma)
+    if diffusion.drift is not None and diffusion.drift.shape[0] != m:
+        raise DimensionError(f"drift has length {diffusion.drift.shape[0]}, plant expects {m}")
+    dt, gain = config.dt, diffusion.g * diffusion.g * diffusion.alpha
     drift = diffusion.drift if diffusion.drift is not None else np.zeros(m)
-    noise_scale = math.sqrt(diffusion.alpha) * diffusion.g * math.sqrt(dt)
-    dt_inner = (
-        config.dt_inner
-        if config.dt_inner is not None
-        else dt * diffusion.alpha / diffusion.inner_steps
-    )
-
-    # Per-step coupling is affine in the joint state z = (e, u): one matrix
-    # apply per step keeps long rollouts cheap while matching the pre-update
-    # action ordering exactly.
-    if mode is CouplingMode.PER_STEP:
-        step_mat = np.block(
-            [
-                [np.eye(n) + dt * a_mat, dt * b_mat],
-                [-dt * gain * (sigma_inv @ k_mat), np.eye(m) - dt * gain * sigma_inv],
-            ]
-        )
-        step_off = np.concatenate([np.zeros(n), dt * drift])
-        z = np.concatenate([config.e0, config.u0])
-    e = config.e0.copy()
-    u = config.u0.copy()
-
-    times = [0.0]
-    states = [config.e0.copy()]
-    actions = [config.u0.copy()]
-    diverged = False
-
-    for k in range(1, steps + 1):
-        if mode is CouplingMode.EXPERT_ORACLE:
-            u = -(k_mat @ e)
-            e = e + dt * (a_mat @ e + b_mat @ u)
-        elif mode is CouplingMode.PER_STEP:
-            z = step_mat @ z + step_off
-            if diffusion.stochastic:
-                z[n:] += noise_scale * rng.standard_normal(m)
-        else:  # inner loop
-            u = full_denoise(policy, diffusion, e, dt_inner, rng)
-            e = e + dt * (a_mat @ e + b_mat @ u)
-
-        if k % stride == 0 or k == steps:
-            if mode is CouplingMode.PER_STEP:
-                e, u = z[:n].copy(), z[n:].copy()
-            t = k * dt
-            times.append(t)
-            states.append(np.array(e, dtype=float, copy=True))
-            actions.append(np.array(u, dtype=float, copy=True))
-            finite = bool(np.all(np.isfinite(e)) and np.all(np.isfinite(u)))
-            if not finite or np.linalg.norm(e) > blow or np.linalg.norm(u) > blow:
-                diverged = True
-                break
-    return times, states, actions, diverged
-
-
-def _run_scalar(plant, policy, diffusion, config):
-    """Deterministic 1D fast path: identical semantics, plain float loops."""
-    dt = config.dt
-    steps = config.n_steps
-    stride = config.record_stride
-    mode = config.mode
-
-    a = float(plant.A[0, 0])
-    b = float(plant.B[0, 0])
-    kf = float(policy.K[0, 0])
-    sinv = 1.0 / float(policy.Sigma[0, 0])
-    gain = diffusion.g * diffusion.g * diffusion.alpha
-    c = float(diffusion.drift[0]) if diffusion.drift is not None else 0.0
-    e = float(config.e0[0])
-    u = float(config.u0[0])
-    blow = BLOWUP_FACTOR * (1.0 + abs(e))
-
-    times = [0.0]
-    states = [[e]]
-    actions = [[u]]
-    diverged = False
-
-    if mode is CouplingMode.PER_STEP:
-        m11 = 1.0 + dt * a
-        m12 = dt * b
-        m21 = -dt * gain * sinv * kf
-        m22 = 1.0 - dt * gain * sinv
-        w2 = dt * c
-    elif mode is CouplingMode.INNER_LOOP:
-        dt_inner = (
-            config.dt_inner
-            if config.dt_inner is not None
-            else dt * diffusion.alpha / diffusion.inner_steps
+    f_u, w_mat = np.zeros((m, m)), None
+    if config.mode is CouplingMode.EXPERT_ORACLE:
+        f_e, f_vec = -policy.K, np.zeros(m)
+    elif config.mode is CouplingMode.PER_STEP:
+        f_e = -dt * gain * (policy.sigma_inv @ policy.K)
+        f_u = np.eye(m) - dt * gain * policy.sigma_inv
+        f_vec = dt * drift
+        w_mat = math.sqrt(diffusion.alpha) * diffusion.g * math.sqrt(dt) * np.eye(m)
+    else:
+        dt_inner = config.dt_inner if config.dt_inner is not None else default_inner_dt(
+            diffusion, dt
         )
         dt_equiv = dt_inner / diffusion.alpha
-        p_uu = 1.0 - dt_equiv * gain * sinv
-        p_ue = -dt_equiv * gain * sinv * kf
-        p_c = dt_equiv * c
-        inner_steps = diffusion.inner_steps
+        powers = [np.eye(m)]
+        for _ in range(diffusion.inner_steps):
+            powers.append(powers[-1] - dt_equiv * gain * (policy.sigma_inv @ powers[-1]))
+        p_sum = np.sum(powers[:-1], axis=0)
+        f_e = -dt_equiv * gain * (p_sum @ policy.sigma_inv @ policy.K)
+        f_vec = dt_equiv * (p_sum @ drift)
+        scale = math.sqrt(diffusion.alpha) * diffusion.g * math.sqrt(dt_equiv)
+        w_mat = np.hstack([powers[-1]] + [scale * p for p in reversed(powers[:-1])])
+    # Coupling through u' folds F_e into the plant row and drops u from it.
+    through_new = dt * plant.B if config.mode is not CouplingMode.PER_STEP else np.zeros((n, m))
+    step_mat = np.block(
+        [[np.eye(n) + dt * plant.A + through_new @ f_e, dt * plant.B - through_new], [f_e, f_u]]
+    )
+    step_off = np.concatenate([through_new @ f_vec, f_vec])
+    if w_mat is None or not diffusion.stochastic:
+        return step_mat, step_off, None
+    return step_mat, step_off, np.vstack([through_new @ w_mat, w_mat])
 
-    for k in range(1, steps + 1):
-        if mode is CouplingMode.EXPERT_ORACLE:
-            u = -kf * e
-            e = e + dt * (a * e + b * u)
-        elif mode is CouplingMode.PER_STEP:
-            e, u = m11 * e + m12 * u, m21 * e + m22 * u + w2
-        else:
-            u = 0.0
-            for _ in range(inner_steps):
-                u = p_uu * u + p_ue * e + p_c
-            e = e + dt * (a * e + b * u)
 
-        if k % stride == 0 or k == steps:
-            times.append(k * dt)
-            states.append([e])
-            actions.append([u])
-            if not (math.isfinite(e) and math.isfinite(u)) or abs(e) > blow or abs(u) > blow:
-                diverged = True
-                break
-    return times, states, actions, diverged
+def _rollout(batch) -> Iterator[Trajectory]:
+    """Roll out a batch of compiled runs of one shape; yield trajectories.
+
+    The maps act on homogeneous rows (z, 1), so z M^T + c is one matmul.
+    Deterministic rows advance a block of up to ``_BLOCK`` recorded samples
+    per batched matmul, against a table of the powers of M^stride built by
+    doubling. A power is used only while its entries stay within
+    ``_POWER_CAP``: an overflowing power would turn an exact zero state into
+    NaN. Rows with noise, and rows whose first power exceeds the cap,
+    advance one recorded sample at a time, in chunks of plant steps; a row
+    draws each chunk's noise just before it, so a stopped row draws nothing
+    past its last sample.
+    """
+    (steps, stride, n, dim, width), _, _ = batch[0]
+    hom = np.zeros((len(batch), dim + 1, dim + 1))
+    hom[:, dim, dim] = 1.0
+    for row, (_, (step_mat, step_off, _), _) in enumerate(batch):
+        hom[row, :dim, :dim], hom[row, dim, :dim] = step_mat.T, step_off
+    z0 = np.array([np.concatenate([c.e0, c.u0, [1.0]]) for _, _, c in batch])
+    blow = np.array([BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(c.e0))) for _, _, c in batch])
+    full, rem = divmod(steps, stride)
+    ks = np.concatenate([[0.0], np.arange(stride, steps + 1, stride), [steps] if rem else []])
+    records = np.empty((len(batch), ks.size, dim + 1))
+    records[:, 0] = z0
+    counts = np.full(len(batch), ks.size)
+    diverged = np.zeros(len(batch), dtype=bool)
+
+    def keep(rows, block, first):
+        """Stop each row whose samples (block[i] is record first + i) blow
+        up; return the mask of rows that keep running."""
+        e_norm = np.sqrt(np.sum(block[..., :n] ** 2, axis=-1))
+        u_norm = np.sqrt(np.sum(block[..., n:dim] ** 2, axis=-1))
+        bad = ~np.isfinite(block).all(axis=-1) | (np.maximum(e_norm, u_norm) > blow[rows, None])
+        hit = bad.any(axis=1)
+        counts[rows[hit]] = first + 1 + bad[hit].argmax(axis=1)
+        diverged[rows[hit]] = True
+        return ~hit
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepwise = np.full(len(batch), width is not None)
+        if width is None:
+            table = _power_table(np.linalg.matrix_power(hom, min(stride, steps)), min(full, _BLOCK))
+            usable = _leading_capped(table)
+            last = np.linalg.matrix_power(hom, rem)
+            stepwise = (usable == 0) | (_leading_capped(last[:, None]) == 0)
+            # Rows that stopped or run stepwise are carried as zeros.
+            live = ~stepwise
+            z = np.where(live[:, None], z0, 0.0)
+            done = 0
+            while live.any() and done < full + (rem > 0):
+                size = int(min(full - done, usable[live].min())) if done < full else 1
+                block = np.matmul(z[:, None, None], table[:, :size] if done < full else last[:, None])
+                records[:, 1 + done : 1 + done + size] = block[:, :, 0]
+                rows = np.flatnonzero(live)
+                live[rows[~keep(rows, block[rows, :, 0], 1 + done)]] = False
+                z = np.where(live[:, None], block[:, -1, 0], 0.0)
+                done += size
+
+        rows = np.flatnonzero(stepwise)
+        width = width or 0
+        span = min(stride, steps, _BATCH_FLOATS // max(1, rows.size * (dim + 1) * (dim + width + 1)))
+        powers = _power_table(hom[rows], span)
+        span = max(1, int(_leading_capped(powers).min(initial=span)))
+        if width and rows.size:
+            # Over a chunk of c steps: z <- z H^c + sum_i xi_i G^T H^(c-1-i).
+            lower = np.concatenate([np.broadcast_to(np.eye(dim + 1), powers[:, :1].shape),
+                                    powers[:, : span - 1]], axis=1)
+            noise_t = np.stack([batch[r][1][2].T for r in rows])
+            kicks = np.matmul(noise_t[:, None], lower[:, ::-1, :dim])
+            kicks = kicks.reshape(rows.size, span * width, dim + 1)
+            rngs = [RngStream(batch[r][2].seed) for r in rows]
+        z = z0[rows, None]
+        for record in range(1, ks.size if rows.size else 1):
+            left = stride if record <= full else rem
+            while left:
+                size = min(left, span)
+                z = np.matmul(z, powers[:, size - 1])
+                if width:
+                    draws = np.array([rng.standard_normal(size * width) for rng in rngs])
+                    z += np.matmul(draws[:, None], kicks[:, (span - size) * width :])
+                left -= size
+            records[rows, record] = z[:, 0]
+            # One sum of squares within the smallest bound clears every row.
+            if not np.vdot(z, z) <= blow[rows].min() ** 2:
+                running = keep(rows, z, record)
+                rows, z, powers = rows[running], z[running], powers[running]
+                if width:
+                    kicks = kicks[running]
+                    rngs = [rng for rng, go in zip(rngs, running) if go]
+                if not rows.size:
+                    break
+
+    for row, (_, _, config) in enumerate(batch):
+        count = counts[row]
+        yield Trajectory(ks[:count] * config.dt, records[row, :count, :n].copy(),
+                         records[row, :count, n:dim].copy(), config, bool(diverged[row]))
+
+
+def _power_table(mats, length: int) -> np.ndarray:
+    """Powers mats^1 .. mats^length (B x length x D x D, at least one), by
+    doubling."""
+    table = np.empty((mats.shape[0], max(length, 1)) + mats.shape[1:])
+    table[:, 0] = mats
+    filled = 1
+    while filled < length:
+        more = min(filled, length - filled)
+        np.matmul(table[:, :more], table[:, filled - 1 : filled],
+                  out=table[:, filled : filled + more])
+        filled += more
+    return table
+
+
+def _leading_capped(table) -> np.ndarray:
+    """Per row of a power table, how many leading powers are finite with
+    every entry within ``_POWER_CAP``."""
+    ok = (table.max(axis=(2, 3)) <= _POWER_CAP) & (table.min(axis=(2, 3)) >= -_POWER_CAP)
+    return np.where(ok.all(axis=1), ok.shape[1], ok.argmin(axis=1))
 
 
 def classify_empirical(
@@ -372,8 +432,6 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     header = ",".join(
         ["t"] + [f"e_{i + 1}" for i in range(n)] + [f"u_{j + 1}" for j in range(m)]
     )
-    lines = [header]
-    for i in range(len(traj)):
-        row = [traj.times[i]] + list(traj.states[i]) + list(traj.actions[i])
-        lines.append(",".join(f"{value:.17g}" for value in row))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * (1 + n + m))
+    values = np.column_stack([traj.times, traj.states, traj.actions]).ravel().tolist()
+    return header + "\n" + "\n".join([row] * len(traj)) % tuple(values) + "\n"

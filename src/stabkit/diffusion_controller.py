@@ -94,8 +94,7 @@ def score(policy: ExpertPolicy, e, u) -> np.ndarray:
         raise DimensionError(
             f"u has length {u.shape[0]}, policy expects {policy.n_actions}"
         )
-    sigma_inv = matrixkit.invert(policy.Sigma)
-    return -(sigma_inv @ (u + policy.K @ e))
+    return -(policy.sigma_inv @ (u + policy.K @ e))
 
 
 def denoise_step(

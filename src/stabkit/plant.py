@@ -7,6 +7,7 @@ translate back to x = e + setpoint.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,11 @@ class ExpertPolicy:
             raise ParameterError("policy Sigma must be positive definite")
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "Sigma", sigma)
+
+    @functools.cached_property
+    def sigma_inv(self) -> np.ndarray:
+        """Sigma^{-1}, computed on first use and kept for the policy's life."""
+        return matrixkit.invert(self.Sigma)
 
     @property
     def n_actions(self) -> int:

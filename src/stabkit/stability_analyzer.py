@@ -18,6 +18,7 @@ never claimed on this path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -30,7 +31,7 @@ from .coupled_sim import (
     CouplingMode,
     EmpiricalVerdict,
     classify_empirical,
-    simulate,
+    simulate_many,
 )
 from .diffusion_controller import DiffusionParams
 from .errors import DimensionError, ParameterError
@@ -362,44 +363,6 @@ def _apply_axis(params: dict, name: str, value: float) -> dict:
     return out
 
 
-def evaluate_sweep_cell(
-    base_params: Mapping[str, float],
-    axis1_name: str,
-    axis1_value: float,
-    axis2_name: str,
-    axis2_value: float,
-    index: int,
-    empirical: bool = False,
-    sim_config: CouplingConfig | None = None,
-) -> SweepCell:
-    """Evaluate one cell of a sweep grid (safe to run in a worker process)."""
-    params = {key: float(base_params[key]) for key in _BASE_KEYS}
-    params = _apply_axis(params, axis1_name, axis1_value)
-    params = _apply_axis(params, axis2_name, axis2_value)
-    analytic = analytic_1d(
-        params["A"], params["B"], params["K"], params["sigma"], params["g"], params["alpha"]
-    )
-    empirical_verdict = None
-    if empirical:
-        sim = sim_config if sim_config is not None else DEFAULT_SWEEP_SIM
-        plant = PlantModel(A=[[params["A"]]], B=[[params["B"]]], setpoint=[0.0])
-        policy = ExpertPolicy(K=[[params["K"]]], Sigma=[[params["sigma"] ** 2]])
-        diffusion = DiffusionParams(
-            g=params["g"], alpha=params["alpha"], stochastic=False
-        )
-        config = replace(
-            sim, mode=CouplingMode.PER_STEP, seed=sim.seed ^ index
-        )
-        empirical_verdict = classify_empirical(simulate(plant, policy, diffusion, config))
-    return SweepCell(
-        index=index,
-        axis1_value=float(axis1_value),
-        axis2_value=float(axis2_value),
-        analytic=analytic,
-        empirical=empirical_verdict,
-    )
-
-
 def sweep_region(
     base_params: Mapping[str, float],
     axis1: AxisSpec,
@@ -410,6 +373,8 @@ def sweep_region(
 ) -> list[SweepCell]:
     """Evaluate a 2-D parameter grid, row-major over (axis1, axis2).
 
+    With ``empirical``, every cell also gets the verdict of a deterministic
+    per-step simulation; the cells are rolled out together in batches.
     Cell seeds derive from the simulation seed XOR the row-major cell index,
     so results are independent of evaluation order.
     """
@@ -417,25 +382,25 @@ def sweep_region(
     missing = [key for key in _BASE_KEYS if key not in base_params]
     if missing:
         raise ParameterError(f"base parameters missing keys: {missing}")
-    values1 = axis1.values()
-    values2 = axis2.values()
+    base = {key: float(base_params[key]) for key in _BASE_KEYS}
+    sim = sim_config if sim_config is not None else DEFAULT_SWEEP_SIM
     cells = []
-    index = 0
-    for v1 in values1:
-        for v2 in values2:
-            cells.append(
-                evaluate_sweep_cell(
-                    base_params,
-                    axis1.name,
-                    float(v1),
-                    axis2.name,
-                    float(v2),
-                    index,
-                    empirical,
-                    sim_config,
-                )
-            )
-            index += 1
+    runs = []
+    grid = itertools.product(axis1.values().tolist(), axis2.values().tolist())
+    for index, (v1, v2) in enumerate(grid):
+        params = _apply_axis(_apply_axis(base, axis1.name, v1), axis2.name, v2)
+        cells.append(SweepCell(index, v1, v2, analytic_1d(**params)))
+        if empirical:
+            plant = PlantModel(A=[[params["A"]]], B=[[params["B"]]], setpoint=[0.0])
+            policy = ExpertPolicy(K=[[params["K"]]], Sigma=[[params["sigma"] ** 2]])
+            diffusion = DiffusionParams(g=params["g"], alpha=params["alpha"])
+            config = replace(sim, mode=CouplingMode.PER_STEP, seed=sim.seed ^ index)
+            runs.append((plant, policy, diffusion, config))
+    if empirical:
+        cells = [
+            replace(cell, empirical=classify_empirical(trajectory))
+            for cell, trajectory in zip(cells, simulate_many(runs))
+        ]
     return cells
 
 

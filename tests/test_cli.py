@@ -211,6 +211,16 @@ class TestSweep:
         cli.main(["sweep", "-c", cfg, *args, "-o", str(out2), "--jobs", "4"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_negative_jobs_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_DOC)
+        out = tmp_path / "r.csv"
+        assert cli.main(
+            ["sweep", "-c", cfg, "--axis1", "A:1:2:2", "--axis2", "kprime:1:2:2",
+             "-o", str(out), "--jobs", "-1"]
+        ) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_svg_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_DOC)
         out = tmp_path / "r.csv"

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import stabkit as sk
+from stabkit import coupled_sim
 from stabkit import (
     CouplingConfig,
     CouplingMode,
@@ -286,3 +288,129 @@ class TestTrajectoryCsv:
         )
         text = trajectory_to_csv(simulate(plant, policy, DET_DIFFUSION, cfg))
         assert text.startswith("t,e_1,e_2,u_1,u_2\n")
+
+
+SQUARE = (DEMO_PLANT, DEMO_POLICY)
+NON_SQUARE = (
+    PlantModel(
+        A=[[0.5, 1.0, 0.0], [-0.3, 0.2, 0.4], [0.1, 0.0, -0.6]],
+        B=[[1.0, 0.2], [0.0, 0.8], [0.3, -0.5]],
+        setpoint=[0.0, 0.0, 0.0],
+    ),
+    ExpertPolicy(
+        K=[[1.2, 0.4, -0.3], [0.1, 0.9, 0.5]], Sigma=[[0.5, 0.1], [0.1, 0.3]]
+    ),
+)
+
+
+class TestCompiledStepMap:
+    """One compiled step z <- M z + c + G xi against the reference functions
+    (denoise_step, full_denoise and an Euler plant step)."""
+
+    @staticmethod
+    def reference_step(plant, policy, diffusion, cfg):
+        rng = sk.RngStream(cfg.seed)
+        e0, u0 = cfg.e0, cfg.u0
+        if cfg.mode is CouplingMode.EXPERT_ORACLE:
+            u1 = sk.expert_action(policy, e0)
+            return e0 + cfg.dt * sk.plant_derivative(plant, e0, u1), u1
+        if cfg.mode is CouplingMode.PER_STEP:
+            u1 = sk.denoise_step(policy, diffusion, e0, u0, cfg.dt, rng)
+            return e0 + cfg.dt * sk.plant_derivative(plant, e0, u0), u1
+        dt_inner = sk.default_inner_dt(diffusion, cfg.dt)
+        u1 = sk.full_denoise(policy, diffusion, e0, dt_inner, rng)
+        return e0 + cfg.dt * sk.plant_derivative(plant, e0, u1), u1
+
+    @pytest.mark.parametrize("system", [SQUARE, NON_SQUARE], ids=["N1", "N3M2"])
+    @pytest.mark.parametrize("stochastic", [False, True])
+    @pytest.mark.parametrize("mode", list(CouplingMode))
+    def test_one_step_matches_reference(self, system, stochastic, mode):
+        plant, policy = system
+        n, m = plant.n_states, plant.n_inputs
+        diffusion = DiffusionParams(
+            g=1.3, alpha=0.7, drift=np.linspace(0.2, -0.4, m), stochastic=stochastic,
+            inner_steps=6,
+        )
+        cfg = CouplingConfig(
+            mode=mode, dt=0.05, horizon=0.5, e0=np.linspace(1.0, -2.0, n),
+            u0=np.linspace(-0.5, 0.7, m), seed=17,
+        )
+        e_ref, u_ref = self.reference_step(plant, policy, diffusion, cfg)
+
+        step_mat, step_off, noise = coupled_sim._compile(plant, policy, diffusion, cfg)
+        z1 = step_mat @ np.concatenate([cfg.e0, cfg.u0]) + step_off
+        if noise is not None:
+            z1 = z1 + noise @ sk.RngStream(cfg.seed).standard_normal(noise.shape[1])
+        assert (noise is not None) == (stochastic and mode is not CouplingMode.EXPERT_ORACLE)
+        np.testing.assert_allclose(z1, np.concatenate([e_ref, u_ref]), rtol=1e-12)
+
+        traj = simulate(plant, policy, diffusion, cfg)
+        np.testing.assert_allclose(traj.states[1], e_ref, rtol=1e-12)
+        np.testing.assert_allclose(traj.actions[1], u_ref, rtol=1e-12)
+
+
+class TestRollout:
+    def test_zero_equilibrium_of_unstable_map_stays_zero(self):
+        # K' dt = 4: the per-step Euler map has an eigenvalue near -3, so the
+        # powers of its 25-step map overflow within a few dozen samples
+        unstable = ExpertPolicy(K=3.0, Sigma=[[1.0 / 4000.0]])
+        cfg = config("per-step", dt=1e-3, e0=[0.0], u0=[0.0], record_stride=25)
+        traj = simulate(DEMO_PLANT, unstable, DET_DIFFUSION, cfg)
+        assert not traj.diverged
+        assert len(traj) == 20000 // 25 + 1
+        assert np.all(traj.states == 0.0) and np.all(traj.actions == 0.0)
+        assert classify_empirical(traj).label == "stable"
+        moved = simulate(DEMO_PLANT, unstable, DET_DIFFUSION, replace(cfg, e0=[1e-6]))
+        assert moved.diverged
+
+    @pytest.mark.parametrize("stride", [1, 7, 3000])
+    def test_stride_does_not_change_samples(self, stride):
+        cfg = config("per-step", dt=1e-2, record_stride=stride)
+        every = simulate(DEMO_PLANT, DEMO_POLICY, DET_DIFFUSION, replace(cfg, record_stride=1))
+        traj = simulate(DEMO_PLANT, DEMO_POLICY, DET_DIFFUSION, cfg)
+        steps = np.round(traj.times / cfg.dt).astype(int)
+        assert steps[-1] == cfg.n_steps
+        np.testing.assert_allclose(traj.states, every.states[steps], rtol=1e-9, atol=1e-300)
+
+
+class TestDrawCounts:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        counts = []
+        original = sk.RngStream.standard_normal
+
+        def counted(self, size=None):
+            out = original(self, size)
+            counts.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(sk.RngStream, "standard_normal", counted)
+        return counts
+
+    @pytest.mark.parametrize("system", [SQUARE, NON_SQUARE], ids=["N1", "N3M2"])
+    @pytest.mark.parametrize("mode", list(CouplingMode))
+    def test_draws_per_step(self, draws, system, mode):
+        plant, policy = system
+        diffusion = DiffusionParams(g=1.0, alpha=1.0, stochastic=True, inner_steps=4)
+        cfg = CouplingConfig(
+            mode=mode, dt=0.01, horizon=0.5, e0=np.ones(plant.n_states),
+            u0=np.zeros(plant.n_inputs), record_stride=7,
+        )
+        traj = simulate(plant, policy, diffusion, cfg)
+        assert not traj.diverged
+        per_step = {
+            CouplingMode.EXPERT_ORACLE: 0,
+            CouplingMode.PER_STEP: plant.n_inputs,
+            CouplingMode.INNER_LOOP: 5 * plant.n_inputs,
+        }[mode]
+        assert sum(draws) == cfg.n_steps * per_step
+
+    def test_diverged_run_stops_drawing_at_last_sample(self, draws):
+        weak = ExpertPolicy(K=3.0, Sigma=[[1.0]])  # K' = 1 < A = 2
+        noisy = DiffusionParams(g=1.0, alpha=1.0, stochastic=True)
+        cfg = config("per-step", horizon=60.0, record_stride=7, seed=4)
+        traj = simulate(DEMO_PLANT, weak, noisy, cfg)
+        assert traj.diverged
+        last_step = int(round(traj.times[-1] / cfg.dt))
+        assert last_step < cfg.n_steps
+        assert sum(draws) == last_step

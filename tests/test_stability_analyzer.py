@@ -6,13 +6,19 @@ import pytest
 from stabkit import (
     AxisSpec,
     CouplingConfig,
+    DiffusionParams,
+    ExpertPolicy,
+    PlantModel,
     analytic_1d,
     analytic_ndim,
     augmented_matrix,
     classify_table_row,
+    classify_empirical,
     second_order_coefficients,
+    simulate,
     sweep_region,
 )
+from stabkit import coupled_sim
 from stabkit.errors import DimensionError, ParameterError, SingularMatrixError
 from stabkit.matrixkit import eig_2x2, eig_sym, symmetric_part
 from stabkit.stability_analyzer import EffectiveGain, stable_boundary_points
@@ -346,6 +352,37 @@ class TestSweepRegion:
                 agree += cell.analytic.label == cell.empirical.label
         assert total > 40
         assert agree / total >= 0.98
+
+    @pytest.mark.parametrize("batch_floats", [coupled_sim._BATCH_FLOATS, 5000])
+    def test_batched_empirical_matches_per_cell_runs(self, monkeypatch, batch_floats):
+        # a 6x6 grid whose kprime axis runs past K' dt = 2 (explicit Euler
+        # diverges) and below K' = A (the loop itself is unstable); the small
+        # budget splits the grid into several batches
+        monkeypatch.setattr(coupled_sim, "_BATCH_FLOATS", batch_floats)
+        sim = CouplingConfig(
+            mode="per-step", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0], seed=5,
+            record_stride=4,
+        )
+        axis1, axis2 = AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6)
+        cells = sweep_region(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
+        rates = []
+        for cell in cells:
+            sigma = math.sqrt(1.0 / cell.axis2_value)  # g = alpha = 1
+            trajectory = simulate(
+                PlantModel(A=[[cell.axis1_value]], B=[[1.0]], setpoint=[0.0]),
+                ExpertPolicy(K=[[3.0]], Sigma=[[sigma**2]]),
+                DiffusionParams(g=1.0, alpha=1.0),
+                CouplingConfig(
+                    mode="per-step", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0],
+                    seed=5 ^ cell.index, record_stride=4,
+                ),
+            )
+            expected = classify_empirical(trajectory)
+            assert cell.empirical.label == expected.label
+            assert cell.empirical.rate == pytest.approx(expected.rate, rel=1e-9)
+            rates.append(expected.rate)
+        assert math.inf in rates
+        assert any(math.isfinite(rate) for rate in rates)
 
     def test_row_major_order_and_seed_independence(self):
         cells = sweep_region(
