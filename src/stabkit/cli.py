@@ -459,10 +459,9 @@ def cmd_dataset_check(args) -> int:
     config = _load_config(args.config, require=("plant",))
     with open(args.demos, "r", encoding="utf-8") as handle:
         demos = load_demonstrations(handle)
-    report = quality_report(
-        config.plant, demos, config.diffusion.g, config.diffusion.alpha
-    )
-    print(json.dumps(report.to_json_dict(), sort_keys=True))
+    g, alpha = config.diffusion.g, config.diffusion.alpha
+    report = quality_report(config.plant, demos, g, alpha)
+    print(json.dumps({**report.to_json_dict(), "g": g, "alpha": alpha}, sort_keys=True))
     return 0 if report.verdict.label == "stable" else 3
 
 

@@ -104,29 +104,21 @@ def _parse_header(fields: list[str]) -> tuple[int, int]:
     return n, m
 
 
-def load_demonstrations(source) -> DemonstrationSet:
-    """Parse demonstration CSV (header ``e_1..e_N,u_1..u_M``) from a text
-    stream or string. Raises DatasetFormatError naming the offending line
-    for ragged rows, non-numeric fields, or a header-only file."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    numbered = [
-        (number, line.rstrip("\n").rstrip("\r"))
-        for number, line in enumerate(source, start=1)
-    ]
-    numbered = [(number, line) for number, line in numbered if line.strip() != ""]
-    if not numbered:
-        raise DatasetFormatError("line 1: missing header", line=1)
-    n, m = _parse_header([field.strip() for field in numbered[0][1].split(",")])
-    if len(numbered) == 1:
-        raise DatasetFormatError("empty dataset: header but no records", line=1)
-    states = []
-    actions = []
-    for offset, line in numbered[1:]:
+# ASCII separators that np.loadtxt strips as whitespace but float() rejects.
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_records(numbered: list[tuple[int, str]], width: int) -> np.ndarray:
+    """Parse numbered body lines one field at a time with ``float``.
+
+    Returns the (records x width) values, or raises DatasetFormatError naming
+    the first offending line."""
+    rows = []
+    for offset, line in numbered:
         fields = line.split(",")
-        if len(fields) != n + m:
+        if len(fields) != width:
             raise DatasetFormatError(
-                f"line {offset}: expected {n + m} fields, got {len(fields)}",
+                f"line {offset}: expected {width} fields, got {len(fields)}",
                 line=offset,
             )
         row = []
@@ -144,9 +136,49 @@ def load_demonstrations(source) -> DemonstrationSet:
                     line=offset,
                 )
             row.append(value)
-        states.append(row[:n])
-        actions.append(row[n:])
-    return DemonstrationSet(states=np.array(states), actions=np.array(actions))
+        rows.append(row)
+    return np.array(rows)
+
+
+def load_demonstrations(source) -> DemonstrationSet:
+    """Parse demonstration CSV (header ``e_1..e_N,u_1..u_M``) from a text
+    stream or string. Raises DatasetFormatError naming the offending line
+    for ragged rows, non-numeric fields, or a header-only file.
+
+    The body is parsed in one ``np.loadtxt`` call. Any log it rejects or
+    reads differently (wrong shape, non-finite values, separators only it
+    takes as whitespace) goes through :func:`_parse_records`, which gives the
+    error and line number, or the values for spellings only ``float`` reads
+    (``1_0``, non-ASCII digits)."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    numbered = [
+        (number, line.rstrip("\n").rstrip("\r"))
+        for number, line in enumerate(source, start=1)
+    ]
+    numbered = [(number, line) for number, line in numbered if line.strip() != ""]
+    if not numbered:
+        raise DatasetFormatError("line 1: missing header", line=1)
+    n, m = _parse_header([field.strip() for field in numbered[0][1].split(",")])
+    if len(numbered) == 1:
+        raise DatasetFormatError("empty dataset: header but no records", line=1)
+    body = [line for _, line in numbered[1:]]
+    joined = "\n".join(body)
+    try:
+        values = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        values = None
+    if (
+        values is None
+        or values.shape != (len(body), n + m)
+        or not np.all(np.isfinite(values))
+        or any(char in joined for char in _LOADTXT_ONLY_SPACES)
+    ):
+        values = _parse_records(numbered[1:], n + m)
+    return DemonstrationSet(
+        states=np.ascontiguousarray(values[:, :n]),
+        actions=np.ascontiguousarray(values[:, n:]),
+    )
 
 
 def estimate_gain(demos: DemonstrationSet) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Dense linear algebra for small matrices (intended for N <= ~16).
 
-Everything here is hand-rolled and dependency-light on purpose: cyclic
-Jacobi rotations for symmetric eigenvalues, Cholesky pivots for positive
-definiteness, Gaussian elimination with partial pivoting for inversion,
-and a numerically stable quadratic formula for 2x2 eigenvalues. All
-operations are pure functions on immutable values.
+LAPACK, through ``numpy.linalg``, computes symmetric eigenvalues and the
+Cholesky factor; this module keeps the contracts around them: the relative
+symmetry tolerance and the relative positive-definite pivot rule.
+Inversion stays hand-written Gauss-Jordan with partial pivoting, because
+numpy exposes no LU pivots and callers rely on its ``PIVOT_RTOL`` singularity
+threshold (a rank-deficient demonstration log must be refused, not fitted).
+2x2 eigenvalues use a cancellation-safe quadratic formula. All operations
+are pure functions on immutable values.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ SYMMETRY_RTOL = 1e-12
 # diagonal magnitude (positive-definiteness).
 PIVOT_RTOL = 1e-12
 PD_RTOL = 1e-12
-
-_JACOBI_MAX_SWEEPS = 60
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -94,53 +95,11 @@ def check_symmetric(s, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> np.
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigensolver for a symmetric matrix.
+    """Eigen-decomposition of a symmetric matrix (LAPACK ``syevd``).
 
     Returns (eigenvalues ascending, eigenvector columns in matching order).
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), v
-    fro = math.sqrt(float(np.sum(a * a)))
-    stop = 1e-14 * max(fro, 1e-300)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off_diag = a.copy()
-        np.fill_diagonal(off_diag, 0.0)
-        if math.sqrt(float(np.sum(off_diag * off_diag))) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0 or abs(apq) <= 1e-20 * (abs(a[p, p]) + abs(a[q, q])):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(diff) > 1e12 * abs(apq):
-                    t = apq / diff  # small-rotation limit, avoids tau overflow
-                else:
-                    tau = diff / (2.0 * apq)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip, aiq = a[i, p], a[i, q]
-                    a[i, p] = a[p, i] = c * aip - s * aiq
-                    a[i, q] = a[q, i] = s * aip + c * aiq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                for i in range(n):
-                    vip, viq = v[i, p], v[i, q]
-                    v[i, p] = c * vip - s * viq
-                    v[i, q] = s * vip + c * viq
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(a)
 
 
 def eig_sym(s) -> np.ndarray:
@@ -149,24 +108,21 @@ def eig_sym(s) -> np.ndarray:
     The input must be symmetric within the relative tolerance
     ``SYMMETRY_RTOL``; smaller asymmetries are silently symmetrized.
     """
-    s = check_symmetric(s, "eig_sym input")
-    w, _ = _jacobi(s)
-    return w
+    return np.linalg.eigvalsh(check_symmetric(s, "eig_sym input"))
 
 
 def _cholesky_pivots(s: np.ndarray, pd_tol: float) -> np.ndarray | None:
-    """Lower Cholesky factor of ``s``, or None if any pivot is <= ``pd_tol``."""
-    n = s.shape[0]
-    lower = np.zeros_like(s)
-    for i in range(n):
-        for j in range(i + 1):
-            acc = s[i, j] - float(np.dot(lower[i, :j], lower[j, :j]))
-            if i == j:
-                if not (acc > pd_tol):
-                    return None
-                lower[i, i] = math.sqrt(acc)
-            else:
-                lower[i, j] = acc / lower[j, j]
+    """Lower Cholesky factor of ``s``, or None if any pivot is <= ``pd_tol``.
+
+    The pivots are the squared diagonal of the factor; LAPACK stops at the
+    first non-positive one, and the rest are checked against ``pd_tol``.
+    """
+    try:
+        lower = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.diag(lower) ** 2 > pd_tol):
+        return None
     return lower
 
 

@@ -320,6 +320,14 @@ class TestDatasetCheck:
         assert cli.main(["dataset-check", "-d", str(bad), "-c", cfg]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_reports_defaults_without_diffusion_section(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"plant": {"A": 4.0, "B": 1.0}}, "plant.json")
+        demos = demos_csv(tmp_path, sigma=0.4)
+        assert cli.main(["dataset-check", "-d", demos, "-c", cfg]) == 0
+        report = json.loads(capsys.readouterr().out.strip())
+        assert (report["g"], report["alpha"]) == (1.0, 1.0)
+        assert report["sigma_threshold"] == pytest.approx(0.5)
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stabkit import dataset_quality
 from stabkit import (
     DemonstrationSet,
     PlantModel,
@@ -207,3 +208,103 @@ class TestQualityReport:
             quality_report(self.PLANT, generate_demonstrations(
                 np.eye(2), np.eye(2), 100, RngStream(1)
             ), 1.0, 1.0)
+
+
+def _per_line_values(text, width):
+    """The per-line parser's result on ``text``, read line by line the way
+    load_demonstrations reads it."""
+    numbered = [
+        (number, line.rstrip("\n").rstrip("\r"))
+        for number, line in enumerate(io.StringIO(text), start=1)
+    ]
+    body = [(number, line) for number, line in numbered[1:] if line.strip() != ""]
+    return dataset_quality._parse_records(body, width)
+
+
+def _bulk_values(text, monkeypatch):
+    """load_demonstrations' result with the per-line parser disabled, so the
+    values can only come from the bulk parse."""
+
+    def refuse(numbered, width):
+        raise AssertionError("bulk parse fell back to the per-line parser")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dataset_quality, "_parse_records", refuse)
+        demos = load_demonstrations(text)
+    return np.hstack([demos.states, demos.actions])
+
+
+def _random_field(rng):
+    if rng.random() < 0.1:
+        return str(rng.choice(["-0.0", "0", "5e-324", "-2.2250738585072014e-308",
+                               "1.5e-310", "-4.9e-324", "1e300", "-1e-300"]))
+    value = rng.uniform(1.0, 10.0) * 10.0 ** int(rng.integers(-300, 300))
+    value = -value if rng.random() < 0.5 else value
+    spelling = int(rng.integers(4))
+    if spelling == 0:
+        return repr(value)
+    if spelling == 1:
+        return f"{value:.17g}"
+    if spelling == 2:
+        return f"{value:.25e}"
+    return f"{value:.3E}"
+
+
+class TestBulkParseParity:
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_random_logs_match_per_line_parser(self, n, monkeypatch):
+        rng = np.random.default_rng(100 + n)
+        header = ",".join([f"e_{i + 1}" for i in range(n)] + [f"u_{i + 1}" for i in range(n)])
+        rows = [",".join(_random_field(rng) for _ in range(2 * n)) for _ in range(400)]
+        text = header + "\n" + "\n".join(rows) + "\n"
+        bulk = _bulk_values(text, monkeypatch)
+        expected = _per_line_values(text, 2 * n)
+        assert bulk.shape == expected.shape == (400, 2 * n)
+        assert bulk.tobytes() == expected.tobytes()
+
+    def test_whitespace_crlf_and_blank_lines(self, monkeypatch):
+        text = (
+            "e_1,u_1\r\n"
+            "  1.5 ,\t-2\t\r\n"
+            "\r\n"
+            "   \t \r\n"
+            "\t-0.0,  3e-320 \r\n"
+            "\n"
+            "4 ,5\r\n"
+        )
+        bulk = _bulk_values(text, monkeypatch)
+        expected = _per_line_values(text, 2)
+        assert bulk.tobytes() == expected.tobytes()
+        assert bulk.tolist() == [[1.5, -2.0], [-0.0, 3e-320], [4.0, 5.0]]
+        assert math.copysign(1.0, bulk[1, 0]) == -1.0
+
+    def test_single_record(self, monkeypatch):
+        text = "e_1,e_2,u_1\n0.1,-7e10,2.5\n"
+        bulk = _bulk_values(text, monkeypatch)
+        assert bulk.shape == (1, 3)
+        assert bulk.tobytes() == _per_line_values(text, 3).tobytes()
+
+    def test_spelling_only_float_reads(self):
+        text = "e_1,u_1\n1_0,2\n3,4\n"
+        demos = load_demonstrations(text)
+        values = np.hstack([demos.states, demos.actions])
+        assert values.tolist() == [[10.0, 2.0], [3.0, 4.0]]
+        assert values.tobytes() == _per_line_values(text, 2).tobytes()
+
+    def test_first_error_wins_across_kinds(self):
+        text = "e_1,u_1\n1,2\ninf,1\n4,5\n1,2,3\n"
+        with pytest.raises(DatasetFormatError, match="line 3: non-finite field 'inf'") as err:
+            load_demonstrations(text)
+        assert err.value.line == 3
+
+    def test_hash_is_a_field_not_a_comment(self):
+        with pytest.raises(DatasetFormatError, match="line 2: non-numeric field '2#3'"):
+            load_demonstrations("e_1,u_1\n1,2#3\n4,5\n")
+        with pytest.raises(DatasetFormatError, match="line 3: non-numeric field '#4'"):
+            load_demonstrations("e_1,u_1\n1,2\n#4,5\n")
+
+    def test_separator_characters_are_not_whitespace(self):
+        # np.loadtxt strips \x1c-\x1f around a number; float() does not.
+        for char in "\x1c\x1d\x1e\x1f":
+            with pytest.raises(DatasetFormatError, match="line 2: non-numeric field"):
+                load_demonstrations(f"e_1,u_1\n1{char},2\n")

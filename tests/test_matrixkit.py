@@ -198,3 +198,25 @@ class TestEig2x2:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionError):
             mk.eig_2x2(np.eye(3))
+
+
+class TestLapackContracts:
+    def test_pd_pivot_rule_is_relative(self):
+        assert not mk.is_positive_definite(np.diag([1.0, 1e-13]))
+        assert mk.is_positive_definite(np.diag([1.0, 1e-11]))
+
+    def test_cholesky_refuses_pivot_below_rule(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            mk.cholesky(np.diag([1.0, 1e-13]))
+
+    def test_eig_sym_matches_oracle_at_n16(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            s = mk.symmetric_part(rng.normal(size=(16, 16)) * 5)
+            expected = np.linalg.eigvalsh(s)
+            assert np.allclose(mk.eig_sym(s), expected, atol=1e-10 * abs(expected).max())
+
+    def test_eig_sym_identity_is_exact(self):
+        w = mk.eig_sym(np.eye(16))
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.array_equal(w, np.ones(16))
