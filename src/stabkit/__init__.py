@@ -36,6 +36,7 @@ from .stability_analyzer import (
     EffectiveGain,
     StabilityVerdict,
     SweepCell,
+    SweepGrid,
     analytic_1d,
     analytic_ndim,
     augmented_matrix,
@@ -61,6 +62,7 @@ __all__ = [
     "RngStream",
     "StabilityVerdict",
     "SweepCell",
+    "SweepGrid",
     "Trajectory",
     "analytic_1d",
     "analytic_ndim",

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 WIDTH = 800
 HEIGHT = 600
 MARGIN_LEFT = 70
@@ -111,29 +113,41 @@ def _axes(frame: _Frame, title: str, xlabel: str, ylabel: str) -> list[str]:
     return parts
 
 
+def _points(frame: _Frame, xs: np.ndarray, ys: np.ndarray) -> str:
+    """``x,y`` pixel pairs of data points, space-separated."""
+    pairs = np.column_stack([frame.x(xs), frame.y(ys)]).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pairs)
+
+
+def _extreme(values: np.ndarray, default: float, first_index) -> float:
+    """``min``/``max`` of ``values`` (``first_index`` is ``np.argmin`` or
+    ``np.argmax``) as Python picks it: the first of equal values, so the
+    sign of a zero is kept; ``default`` when there are none."""
+    return float(values[first_index(values)]) if values.size else default
+
+
 def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     """Polyline chart of (name, xs, ys) series with a small legend."""
-    xs_all = [x for _, xs, _ in series for x in xs if math.isfinite(x)]
-    ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
+    arrays = [(name, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for name, xs, ys in series]
+    xs_all = np.concatenate([[]] + [xs[np.isfinite(xs)] for _, xs, _ in arrays])
+    ys_all = np.concatenate([[]] + [ys[np.isfinite(ys)] for _, _, ys in arrays])
     frame = _Frame(
-        min(xs_all, default=0.0),
-        max(xs_all, default=1.0),
-        min(ys_all, default=0.0),
-        max(ys_all, default=1.0),
+        _extreme(xs_all, 0.0, np.argmin),
+        _extreme(xs_all, 1.0, np.argmax),
+        _extreme(ys_all, 0.0, np.argmin),
+        _extreme(ys_all, 1.0, np.argmax),
     )
     parts = _header()
     parts.extend(_axes(frame, title, xlabel, ylabel))
-    for idx, (name, xs, ys) in enumerate(series):
+    for idx, (name, xs, ys) in enumerate(arrays):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(
-            f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y)
-        )
-        if points:
+        xs, ys = xs[: len(ys)], ys[: len(xs)]
+        shown = np.isfinite(xs) & np.isfinite(ys)
+        if shown.any():
             parts.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"/>'
+                f'<polyline points="{_points(frame, xs[shown], ys[shown])}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"/>'
             )
         ly = MARGIN_TOP + 16 + 16 * idx
         parts.append(
@@ -149,6 +163,25 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _edges(values: list[float]) -> np.ndarray:
+    """Cell edges around grid values: midpoints, mirrored at both ends; a
+    single value gets a band of max(0.5, 5%) of its magnitude."""
+    if len(values) == 1:
+        half = max(0.5, abs(values[0]) * 0.05)
+        return np.array([values[0] - half, values[0] + half])
+    mids = [0.5 * (values[i] + values[i + 1]) for i in range(len(values) - 1)]
+    first = values[0] - (mids[0] - values[0])
+    last = values[-1] + (values[-1] - mids[-1])
+    return np.array([first] + mids + [last])
+
+
+def _clip(edges: np.ndarray, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's (max(lower edge, low), min(upper edge, high)), with
+    Python's choice among equal values."""
+    lower, upper = edges[:-1], edges[1:]
+    return np.where(low > lower, low, lower), np.where(high < upper, high, upper)
+
+
 def region_map(
     x_values,
     y_values,
@@ -159,41 +192,31 @@ def region_map(
     ylabel: str,
 ) -> str:
     """Two-color stability map over a rectangular grid with an optional
-    boundary polyline overlay. ``stable_grid[i][j]`` pairs with
-    (x_values[i], y_values[j])."""
-    frame = _Frame(min(x_values), max(x_values), min(y_values), max(y_values))
+    boundary polyline overlay. ``stable_grid[i][j]`` (any nx x ny boolean
+    array-like) pairs with (x_values[i], y_values[j])."""
+    x_list = np.asarray(x_values, dtype=float).tolist()
+    y_list = np.asarray(y_values, dtype=float).tolist()
+    frame = _Frame(min(x_list), max(x_list), min(y_list), max(y_list))
     parts = _header()
-    nx, ny = len(x_values), len(y_values)
-
-    def edges(values):
-        if len(values) == 1:
-            half = max(0.5, abs(values[0]) * 0.05)
-            return [values[0] - half, values[0] + half]
-        mids = [0.5 * (values[i] + values[i + 1]) for i in range(len(values) - 1)]
-        first = values[0] - (mids[0] - values[0])
-        last = values[-1] + (values[-1] - mids[-1])
-        return [first] + mids + [last]
-
-    x_edges = edges(list(x_values))
-    y_edges = edges(list(y_values))
-    for i in range(nx):
-        for j in range(ny):
-            fill = STABLE_FILL if stable_grid[i][j] else UNSTABLE_FILL
-            x0 = frame.x(max(x_edges[i], frame.x_min))
-            x1 = frame.x(min(x_edges[i + 1], frame.x_max))
-            y0 = frame.y(min(y_edges[j + 1], frame.y_max))
-            y1 = frame.y(max(y_edges[j], frame.y_min))
-            parts.append(
-                f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
-                f'height="{_fmt(y1 - y0)}" fill="{fill}"/>'
-            )
+    x_low, x_high = _clip(_edges(x_list), frame.x_min, frame.x_max)
+    y_low, y_high = _clip(_edges(y_list), frame.y_min, frame.y_max)
+    x0, x1 = frame.x(x_low), frame.x(x_high)
+    y0, y1 = frame.y(y_high), frame.y(y_low)
+    stable = np.asarray(stable_grid, dtype=bool)
+    nx, ny = stable.shape
+    rects = np.empty((nx, ny, 5), dtype=object)
+    rects[..., 0] = x0[:, None]
+    rects[..., 1] = y0[None, :]
+    rects[..., 2] = (x1 - x0)[:, None]
+    rects[..., 3] = (y1 - y0)[None, :]
+    rects[..., 4] = np.where(stable, STABLE_FILL, UNSTABLE_FILL)
+    rect = '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"/>'
+    parts.append("\n".join([rect] * (nx * ny)) % tuple(rects.ravel().tolist()))
     if boundary:
-        points = " ".join(
-            f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in boundary
-        )
+        points = np.asarray(boundary, dtype=float)
         parts.append(
-            f'<polyline points="{points}" fill="none" stroke="#111111" '
-            f'stroke-width="2"/>'
+            f'<polyline points="{_points(frame, points[:, 0], points[:, 1])}" fill="none" '
+            f'stroke="#111111" stroke-width="2"/>'
         )
     parts.extend(_axes(frame, title, xlabel, ylabel))
     parts.append("</svg>")

@@ -13,6 +13,7 @@ dataset-quality gate.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -40,7 +41,6 @@ from .stability_analyzer import (
     StabilityVerdict,
     analytic_1d,
     analytic_ndim,
-    stable_boundary_points,
     sweep_region,
 )
 
@@ -350,40 +350,29 @@ def cmd_sweep(args) -> int:
         "g": diffusion.g,
         "alpha": diffusion.alpha,
     }
-    cells = sweep_region(
+    grid = sweep_region(
         base, axis1, axis2, empirical=bool(args.empirical), sim_config=config.coupling
     )
 
-    lines = ["axis1,axis2,analytic_label,analytic_margin_min,empirical_label,empirical_rate"]
-    for cell in cells:
-        if cell.empirical is not None:
-            emp_label = cell.empirical.label
-            emp_rate = f"{cell.empirical.rate:.17g}"
-        else:
-            emp_label = ""
-            emp_rate = ""
-        lines.append(
-            f"{cell.axis1_value:.17g},{cell.axis2_value:.17g},"
-            f"{cell.analytic.label},{cell.analytic.min_margin:.17g},"
-            f"{emp_label},{emp_rate}"
-        )
+    columns = [grid.axis1, grid.axis2, grid.analytic.label, grid.analytic.min_margin]
+    row = "%.17g,%.17g,%s,%.17g,,"
+    if grid.empirical_label is not None:
+        columns += [grid.empirical_label, grid.empirical_rate]
+        row = "%.17g,%.17g,%s,%.17g,%s,%.17g"
+    values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    header = "axis1,axis2,analytic_label,analytic_margin_min,empirical_label,empirical_rate"
     out_path = _resolve_output(args.output, config, "sweep")
-    _write_atomic(out_path, _config_echo_csv(config) + "\n".join(lines) + "\n")
+    _write_atomic(
+        out_path,
+        _config_echo_csv(config) + header + "\n" + "\n".join([row] * len(grid)) % values + "\n",
+    )
 
     if args.svg:
-        stable_grid = [
-            [
-                cells[i * axis2.steps + j].analytic.label == "stable"
-                for j in range(axis2.steps)
-            ]
-            for i in range(axis1.steps)
-        ]
-        boundary = stable_boundary_points(cells, axis1.steps, axis2.steps)
         svg = _svg.region_map(
-            list(axis1.values()),
-            list(axis2.values()),
-            stable_grid,
-            boundary,
+            axis1.values(),
+            axis2.values(),
+            grid.stable(),
+            grid.boundary_points(),
             title="stability region",
             xlabel=axis1.name,
             ylabel=axis2.name,
@@ -442,7 +431,7 @@ def cmd_phase_plane(args) -> int:
                 "diverged": trajectory.diverged,
             }
         )
-        svg_series.append((name, list(xs), list(us)))
+        svg_series.append((name, xs, us))
 
     out_path = _resolve_output(args.output, config, "phase")
     _write_atomic(out_path, _config_echo_csv(config) + "\n".join(lines) + "\n")
@@ -487,7 +476,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--axis2", required=True, help="name:min:max:steps")
     p_sw.add_argument("-o", "--output")
     p_sw.add_argument("--svg")
-    p_sw.add_argument("--empirical", action="store_true")
+    p_sw.add_argument(
+        "--empirical",
+        action="store_true",
+        help="also simulate every cell: a deterministic per-step run with the config's dt, "
+        "horizon, e0, u0 and record_stride; the coupling mode and seed and the diffusion's "
+        "stochastic, drift and inner_steps are ignored",
+    )
     p_sw.add_argument("--jobs", type=int, default=0, help="ignored; kept for compatibility")
     p_sw.set_defaults(func=cmd_sweep)
 

@@ -23,7 +23,7 @@ standard normal draws. One rollout advances a batch of such maps.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -142,13 +142,21 @@ class ComparisonReport:
     terminal_gap: float
 
 
-def _validate_dims(plant: PlantModel, policy: ExpertPolicy, config: CouplingConfig):
+def _validate_run(
+    plant: PlantModel, policy: ExpertPolicy, diffusion: DiffusionParams, config: CouplingConfig
+):
     n, m = plant.n_states, plant.n_inputs
     if policy.n_states != n or policy.n_actions != m:
         raise DimensionError(
             f"policy K is {policy.n_actions}x{policy.n_states}, plant expects "
             f"{m}x{n}"
         )
+    _check_start(config, n, m)
+    if diffusion.drift is not None and diffusion.drift.shape[0] != m:
+        raise DimensionError(f"drift has length {diffusion.drift.shape[0]}, plant expects {m}")
+
+
+def _check_start(config: CouplingConfig, n: int, m: int):
     if config.e0.shape[0] != n:
         raise DimensionError(f"e0 has length {config.e0.shape[0]}, plant expects {n}")
     if config.u0.shape[0] != m:
@@ -167,27 +175,43 @@ def simulate(
     recorded. Divergence (a recorded norm beyond the blow-up bound, or a
     non-finite value) stops the run early with ``diverged=True``.
     """
-    return next(simulate_many([(plant, policy, diffusion, config)]))
+    step_mat, step_off, noise = _compile(plant, policy, diffusion, config)
+    return next(_rollout(step_mat[None], step_off[None], None if noise is None else noise[None],
+                         [config], *_start(config)))
 
 
-def simulate_many(runs: Iterable[tuple]) -> Iterator[Trajectory]:
-    """Yield ``simulate(plant, policy, diffusion, config)`` for every run,
-    in order. Consecutive runs with the same step count, stride and
-    dimensions roll out together, in batches of bounded memory."""
-    batch: list = []
-    for plant, policy, diffusion, config in runs:
-        step_map = _compile(plant, policy, diffusion, config)
-        dim, noise = step_map[0].shape[0], step_map[2]
-        shape = (config.n_steps, config.record_stride, plant.n_states, dim,
-                 None if noise is None else noise.shape[1])
-        # A row holds its records and a table of _BLOCK step-map powers.
-        row_floats = (config.n_steps // config.record_stride + 2 + _BLOCK * dim) * (dim + 1)
-        if batch and (shape != batch[0][0] or len(batch) * row_floats >= _BATCH_FLOATS):
-            yield from _rollout(batch)
-            batch = []
-        batch.append((shape, step_map, config))
-    if batch:
-        yield from _rollout(batch)
+def simulate_scalar_grid(a, b, k, variance, g, alpha, config: CouplingConfig) -> Iterator[Trajectory]:
+    """Deterministic per-step runs of scalar systems given as columns: row i
+    is ``simulate`` of the plant (a[i], b[i]) under the policy
+    (k[i], variance[i]) and the diffusion (g[i], alpha[i]), with the step
+    count, dt, stride and start of ``config``. All rows compile in one call
+    and roll out in batches of bounded memory.
+
+    A row's samples match its one-run ``simulate`` up to rounding: a batch
+    advances its live rows by the smallest usable power count among them,
+    so the last bits depend on which rows share the batch.
+    """
+    config = replace(config, mode=CouplingMode.PER_STEP)
+    _check_start(config, 1, 1)
+    step_mat, step_off, _ = _step_maps(
+        CouplingMode.PER_STEP, _column(a), _column(b), _column(k), _column(1.0 / variance),
+        config.dt, g, alpha,
+    )
+    # A row holds its records and a table of _BLOCK powers of its 3 x 3
+    # homogeneous map, and a batch stops growing once it reaches
+    # _BATCH_FLOATS floats.
+    row_floats = (config.n_steps // config.record_stride + 2 + _BLOCK * 2) * 3
+    rows = max(1, -(-_BATCH_FLOATS // row_floats))
+    for first in range(0, step_mat.shape[0], rows):
+        maps = step_mat[first : first + rows]
+        yield from _rollout(maps, step_off[first : first + rows], None, [config] * len(maps),
+                            *_start(config))
+
+
+def _start(config: CouplingConfig) -> tuple[np.ndarray, float]:
+    """The homogeneous start row (e0, u0, 1) of a run and its blow-up bound."""
+    z0 = np.concatenate([config.e0, config.u0, [1.0]])
+    return z0, BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(config.e0)))
 
 
 def _compile(
@@ -196,10 +220,34 @@ def _compile(
     diffusion: DiffusionParams,
     config: CouplingConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One plant step of the coupling mode as ``z <- M z + c + G xi`` on the
-    joint state z = (e, u). xi holds the step's standard normal draws in the
-    order the reference functions consume them; G is None when the step
-    draws nothing.
+    """The step map ``(M, c, G)`` of one run; see :func:`_step_maps`."""
+    _validate_run(plant, policy, diffusion, config)
+    drift = np.zeros(plant.n_inputs) if diffusion.drift is None else diffusion.drift
+    dt_inner = config.dt_inner if config.dt_inner is not None else default_inner_dt(
+        diffusion, config.dt
+    )
+    step_mat, step_off, noise = _step_maps(
+        config.mode, plant.A[None], plant.B[None], policy.K[None], policy.sigma_inv[None],
+        config.dt, diffusion.g, diffusion.alpha, drift=drift[None], dt_inner=dt_inner,
+        inner_steps=diffusion.inner_steps, stochastic=diffusion.stochastic,
+    )
+    return step_mat[0], step_off[0], None if noise is None else noise[0]
+
+
+def _column(values) -> np.ndarray:
+    """Per-run scalars (or one scalar) as a B x 1 x 1 array."""
+    return np.asarray(values, dtype=float).reshape(-1, 1, 1)
+
+
+def _step_maps(
+    mode: CouplingMode, a, b, k, sigma_inv, dt, g, alpha, *, drift=None, dt_inner=None,
+    inner_steps: int = 1, stochastic: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One plant step of a coupling mode as ``z <- M z + c + G xi`` on the
+    joint state z = (e, u), for a batch of runs: A, B, K and Sigma^-1 carry a
+    leading batch axis, and dt, g, alpha and dt_inner are per-run columns (or
+    scalars). xi holds the step's standard normal draws in the order the
+    reference functions consume them; G is None when the step draws nothing.
 
     Each mode sets the new action u' = F_e e + F_u u + f + W xi. Per-step
     coupling advances the plant with the pre-update action u, the others with
@@ -207,46 +255,47 @@ def _compile(
     deterministic), sum to F_e = sum_j P^j Q, f = sum_j P^j d and
     W = [P^n, s P^(n-1), ..., s I].
     """
-    _validate_dims(plant, policy, config)
-    n, m = plant.n_states, plant.n_inputs
-    if diffusion.drift is not None and diffusion.drift.shape[0] != m:
-        raise DimensionError(f"drift has length {diffusion.drift.shape[0]}, plant expects {m}")
-    dt, gain = config.dt, diffusion.g * diffusion.g * diffusion.alpha
-    drift = diffusion.drift if diffusion.drift is not None else np.zeros(m)
-    f_u, w_mat = np.zeros((m, m)), None
-    if config.mode is CouplingMode.EXPERT_ORACLE:
-        f_e, f_vec = -policy.K, np.zeros(m)
-    elif config.mode is CouplingMode.PER_STEP:
-        f_e = -dt * gain * (policy.sigma_inv @ policy.K)
-        f_u = np.eye(m) - dt * gain * policy.sigma_inv
-        f_vec = dt * drift
-        w_mat = math.sqrt(diffusion.alpha) * diffusion.g * math.sqrt(dt) * np.eye(m)
+    rows, n, m = b.shape
+    dt_col, gain = _column(dt), _column(g * g * alpha)
+    drift = np.zeros((rows, m)) if drift is None else drift
+    eye = np.eye(m)
+    f_u, w_mat = np.zeros((rows, m, m)), None
+    if mode is CouplingMode.EXPERT_ORACLE:
+        f_e, f_vec = -k, np.zeros((rows, m))
+    elif mode is CouplingMode.PER_STEP:
+        f_e = -dt_col * gain * (sigma_inv @ k)
+        f_u = eye - dt_col * gain * sigma_inv
+        f_vec = dt_col[:, 0] * drift
+        w_mat = _column(np.sqrt(alpha) * g * np.sqrt(dt)) * eye
     else:
-        dt_inner = config.dt_inner if config.dt_inner is not None else default_inner_dt(
-            diffusion, dt
-        )
-        dt_equiv = dt_inner / diffusion.alpha
-        powers = [np.eye(m)]
-        for _ in range(diffusion.inner_steps):
-            powers.append(powers[-1] - dt_equiv * gain * (policy.sigma_inv @ powers[-1]))
+        dt_equiv = _column(np.asarray(dt_inner) / alpha)
+        powers = [np.broadcast_to(eye, (rows, m, m))]
+        for _ in range(inner_steps):
+            powers.append(powers[-1] - dt_equiv * gain * (sigma_inv @ powers[-1]))
         p_sum = np.sum(powers[:-1], axis=0)
-        f_e = -dt_equiv * gain * (p_sum @ policy.sigma_inv @ policy.K)
-        f_vec = dt_equiv * (p_sum @ drift)
-        scale = math.sqrt(diffusion.alpha) * diffusion.g * math.sqrt(dt_equiv)
-        w_mat = np.hstack([powers[-1]] + [scale * p for p in reversed(powers[:-1])])
+        f_e = -dt_equiv * gain * (p_sum @ sigma_inv @ k)
+        f_vec = dt_equiv[:, 0] * (p_sum @ drift[..., None])[..., 0]
+        scale = _column(np.sqrt(alpha) * g) * np.sqrt(dt_equiv)
+        w_mat = np.concatenate([powers[-1]] + [scale * p for p in reversed(powers[:-1])], axis=2)
     # Coupling through u' folds F_e into the plant row and drops u from it.
-    through_new = dt * plant.B if config.mode is not CouplingMode.PER_STEP else np.zeros((n, m))
-    step_mat = np.block(
-        [[np.eye(n) + dt * plant.A + through_new @ f_e, dt * plant.B - through_new], [f_e, f_u]]
-    )
-    step_off = np.concatenate([through_new @ f_vec, f_vec])
-    if w_mat is None or not diffusion.stochastic:
+    through_new = dt_col * b if mode is not CouplingMode.PER_STEP else np.zeros((rows, n, m))
+    step_mat = np.concatenate([
+        np.concatenate([np.eye(n) + dt_col * a + through_new @ f_e, dt_col * b - through_new], axis=2),
+        np.concatenate([f_e, f_u], axis=2),
+    ], axis=1)
+    step_off = np.concatenate([(through_new @ f_vec[..., None])[..., 0], f_vec], axis=1)
+    if w_mat is None or not stochastic:
         return step_mat, step_off, None
-    return step_mat, step_off, np.vstack([through_new @ w_mat, w_mat])
+    return step_mat, step_off, np.concatenate([through_new @ w_mat, w_mat], axis=1)
 
 
-def _rollout(batch) -> Iterator[Trajectory]:
+def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajectory]:
     """Roll out a batch of compiled runs of one shape; yield trajectories.
+
+    Row r is the map (step_mat[r], step_off[r], noise[r]) started from the
+    homogeneous row z0[r] = (e0, u0, 1) with blow-up bound blow[r];
+    ``configs[r]`` gives its step count, stride, dt and seed. z0 and blow may
+    be one row and one bound shared by all runs.
 
     The maps act on homogeneous rows (z, 1), so z M^T + c is one matmul.
     Deterministic rows advance a block of up to ``_BLOCK`` recorded samples
@@ -258,19 +307,20 @@ def _rollout(batch) -> Iterator[Trajectory]:
     draws each chunk's noise just before it, so a stopped row draws nothing
     past its last sample.
     """
-    (steps, stride, n, dim, width), _, _ = batch[0]
-    hom = np.zeros((len(batch), dim + 1, dim + 1))
+    count, dim = step_mat.shape[:2]
+    steps, stride, n = configs[0].n_steps, configs[0].record_stride, configs[0].e0.shape[0]
+    width = None if noise is None else noise.shape[2]
+    hom = np.zeros((count, dim + 1, dim + 1))
     hom[:, dim, dim] = 1.0
-    for row, (_, (step_mat, step_off, _), _) in enumerate(batch):
-        hom[row, :dim, :dim], hom[row, dim, :dim] = step_mat.T, step_off
-    z0 = np.array([np.concatenate([c.e0, c.u0, [1.0]]) for _, _, c in batch])
-    blow = np.array([BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(c.e0))) for _, _, c in batch])
+    hom[:, :dim, :dim], hom[:, dim, :dim] = step_mat.transpose(0, 2, 1), step_off
+    z0 = np.broadcast_to(z0, (count, dim + 1))
+    blow = np.broadcast_to(blow, (count,))
     full, rem = divmod(steps, stride)
     ks = np.concatenate([[0.0], np.arange(stride, steps + 1, stride), [steps] if rem else []])
-    records = np.empty((len(batch), ks.size, dim + 1))
+    records = np.empty((count, ks.size, dim + 1))
     records[:, 0] = z0
-    counts = np.full(len(batch), ks.size)
-    diverged = np.zeros(len(batch), dtype=bool)
+    counts = np.full(count, ks.size)
+    diverged = np.zeros(count, dtype=bool)
 
     def keep(rows, block, first):
         """Stop each row whose samples (block[i] is record first + i) blow
@@ -284,7 +334,7 @@ def _rollout(batch) -> Iterator[Trajectory]:
         return ~hit
 
     with np.errstate(over="ignore", invalid="ignore"):
-        stepwise = np.full(len(batch), width is not None)
+        stepwise = np.full(count, width is not None)
         if width is None:
             table = _power_table(np.linalg.matrix_power(hom, min(stride, steps)), min(full, _BLOCK))
             usable = _leading_capped(table)
@@ -312,10 +362,10 @@ def _rollout(batch) -> Iterator[Trajectory]:
             # Over a chunk of c steps: z <- z H^c + sum_i xi_i G^T H^(c-1-i).
             lower = np.concatenate([np.broadcast_to(np.eye(dim + 1), powers[:, :1].shape),
                                     powers[:, : span - 1]], axis=1)
-            noise_t = np.stack([batch[r][1][2].T for r in rows])
+            noise_t = noise[rows].transpose(0, 2, 1)
             kicks = np.matmul(noise_t[:, None], lower[:, ::-1, :dim])
             kicks = kicks.reshape(rows.size, span * width, dim + 1)
-            rngs = [RngStream(batch[r][2].seed) for r in rows]
+            rngs = [RngStream(configs[r].seed) for r in rows]
         z = z0[rows, None]
         for record in range(1, ks.size if rows.size else 1):
             left = stride if record <= full else rem
@@ -337,10 +387,10 @@ def _rollout(batch) -> Iterator[Trajectory]:
                 if not rows.size:
                     break
 
-    for row, (_, _, config) in enumerate(batch):
-        count = counts[row]
-        yield Trajectory(ks[:count] * config.dt, records[row, :count, :n].copy(),
-                         records[row, :count, n:dim].copy(), config, bool(diverged[row]))
+    for row, config in enumerate(configs):
+        kept = counts[row]
+        yield Trajectory(ks[:kept] * config.dt, records[row, :kept, :n].copy(),
+                         records[row, :kept, n:dim].copy(), config, bool(diverged[row]))
 
 
 def _power_table(mats, length: int) -> np.ndarray:

@@ -18,8 +18,8 @@ never claimed on this path.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -31,7 +31,7 @@ from .coupled_sim import (
     CouplingMode,
     EmpiricalVerdict,
     classify_empirical,
-    simulate_many,
+    simulate_scalar_grid,
 )
 from .diffusion_controller import DiffusionParams
 from .errors import DimensionError, ParameterError
@@ -77,9 +77,17 @@ class EffectiveGain:
 
     @classmethod
     def from_scalar(cls, g: float, alpha: float, sigma: float) -> "EffectiveGain":
+        """g^2 alpha / sigma^2; refused unless it is finite and > 0."""
         g, alpha, sigma = float(g), float(alpha), float(sigma)
         _check_positive(sigma=sigma, g=g, alpha=alpha)
-        return cls(g * g * alpha / (sigma * sigma))
+        sigma_sq = sigma * sigma
+        kprime = g * g * alpha / sigma_sq if sigma_sq > 0.0 else math.inf
+        if kprime == math.inf:
+            raise ParameterError(
+                f"effective gain g^2 alpha / sigma^2 overflows at sigma={sigma}, "
+                f"g={g}, alpha={alpha}"
+            )
+        return cls(kprime)
 
     @classmethod
     def from_covariance(cls, g: float, alpha: float, Sigma) -> "EffectiveGain":
@@ -98,15 +106,15 @@ def _check_positive(**values: float):
             raise ParameterError(f"{name} must be > 0, got {value}")
 
 
-def _resolve_label(
-    margins: list[tuple[float, float]], failure_label: str, tie_epsilon: float
-) -> str:
-    """Resolve stable / marginal / <failure_label> from (margin, scale) pairs."""
-    if any(m < -tie_epsilon * s for m, s in margins):
-        return failure_label
-    if any(abs(m) <= tie_epsilon * s for m, s in margins):
-        return "marginal"
-    return "stable"
+def _resolve_labels(decisive, failure_label: str, tie_epsilon: float) -> np.ndarray:
+    """Resolve stable / marginal / <failure_label> per cell from
+    (margin, scale, applies) columns or scalars; a pair counts only where
+    ``applies`` holds."""
+    fails = ties = False
+    for margin, scale, applies in decisive:
+        fails = fails | (applies & (margin < -tie_epsilon * scale))
+        ties = ties | (applies & (np.abs(margin) <= tie_epsilon * scale))
+    return np.where(fails, failure_label, np.where(ties, "marginal", "stable"))
 
 
 def augmented_matrix(A, B, K, lam) -> np.ndarray:
@@ -154,34 +162,76 @@ def analytic_1d(
     _check_positive(sigma=sigma, g=g, alpha=alpha)
     a, b, k = float(A), float(B), float(K)
     kprime = EffectiveGain.from_scalar(g, alpha, sigma).kprime
+    columns = [np.array([value]) for value in (a, b, k, sigma, g, alpha, kprime)]
+    return _scalar_verdicts(*columns, tie_epsilon=tie_epsilon).verdict(0)
 
-    margin_cl = b * k - a
-    margin_kp = kprime - a
-    scale_cl = max(1.0, abs(a), abs(b * k))
-    scale_kp = max(1.0, abs(a), kprime)
 
-    margins = {"closed_loop": margin_cl, "kprime": margin_kp}
-    conditions = {"closed_loop": margin_cl > 0.0}
-    notes: list[str] = []
-    decisive = [(margin_cl, scale_cl)]
+_VACUOUS_NOTE = (
+    "variance bound vacuous: nonpositive plant response admits any "
+    "demonstration variance"
+)
 
-    if a > 0.0:
-        sigma_star = g * math.sqrt(alpha / a)
-        margin_sigma = sigma_star - sigma
-        margins["sigma"] = margin_sigma
-        conditions["variance_bound"] = margin_sigma > 0.0
-        decisive.append((margin_kp, scale_kp))
-        decisive.append((margin_sigma, max(1.0, sigma, sigma_star)))
-    else:
-        conditions["variance_bound"] = True
-        notes.append(
-            "variance bound vacuous: nonpositive plant response admits any "
-            "demonstration variance"
+
+@dataclass(frozen=True)
+class VerdictColumns:
+    """Scalar verdicts of many cells as columns: labels, smallest margins and
+    margins by name. The ``sigma`` margin is NaN where A <= 0, where the
+    variance bound is vacuous."""
+
+    label: np.ndarray
+    min_margin: np.ndarray
+    margins: dict[str, np.ndarray]
+
+    def verdict(self, index: int) -> StabilityVerdict:
+        """The verdict of one cell, as :func:`analytic_1d` returns it."""
+        margins = {name: float(column[index]) for name, column in self.margins.items()}
+        conditions = {"closed_loop": margins["closed_loop"] > 0.0}
+        if math.isnan(margins["sigma"]):
+            del margins["sigma"]
+            conditions["variance_bound"] = True
+            notes = (_VACUOUS_NOTE,)
+        else:
+            conditions["variance_bound"] = margins["sigma"] > 0.0
+            notes = ()
+        return StabilityVerdict(
+            label=str(self.label[index]), margins=margins, conditions=conditions, notes=notes
         )
 
-    label = _resolve_label(decisive, "unstable", tie_epsilon)
-    return StabilityVerdict(
-        label=label, margins=margins, conditions=conditions, notes=tuple(notes)
+
+def _scalar_verdicts(a, b, k, sigma, g, alpha, kprime, *, tie_epsilon=TIE_EPSILON):
+    """The scalar test over equal-length columns of validated parameters,
+    with K' = g^2 alpha / sigma^2 given. Each cell sees the IEEE operations
+    of a one-cell call, in the same order.
+
+    Margins are the closed-loop slack B K - A, the gain slack K' - A and
+    (when A > 0) the variance slack g sqrt(alpha / A) - sigma. The two
+    gain-side margins express the same condition in different units; for
+    A <= 0 that condition is vacuous and only the closed-loop margin decides
+    the label.
+    """
+    live = a > 0.0
+    bk = b * k
+    margin_cl = bk - a
+    margin_kp = kprime - a
+    scale_cl = np.maximum(np.maximum(1.0, np.abs(a)), np.abs(bk))
+    scale_kp = np.maximum(np.maximum(1.0, np.abs(a)), kprime)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma_star = g * np.sqrt(alpha / a)
+    margin_sigma = np.where(live, sigma_star - sigma, np.nan)
+    scale_sigma = np.maximum(np.maximum(1.0, sigma), sigma_star)
+
+    label = _resolve_labels(
+        [(margin_cl, scale_cl, True), (margin_kp, scale_kp, live), (margin_sigma, scale_sigma, live)],
+        "unstable",
+        tie_epsilon,
+    )
+    # min() over the margins in order: a later margin wins only when smaller
+    smallest = np.where(margin_kp < margin_cl, margin_kp, margin_cl)
+    smallest = np.where(live & (margin_sigma < smallest), margin_sigma, smallest)
+    return VerdictColumns(
+        label=label,
+        min_margin=smallest,
+        margins={"closed_loop": margin_cl, "kprime": margin_kp, "sigma": margin_sigma},
     )
 
 
@@ -261,10 +311,10 @@ def analytic_ndim(
             "eigenvalue, any demonstration variance satisfies the gain bound"
         )
     decisive = [
-        (margin_gain, max(1.0, abs(lam_min_p), abs(lam_max_s1))),
-        (margin_cl, max(1.0, abs(lam_max_cl))),
+        (margin_gain, max(1.0, abs(lam_min_p), abs(lam_max_s1)), True),
+        (margin_cl, max(1.0, abs(lam_max_cl)), True),
     ]
-    label = _resolve_label(decisive, "inconclusive", tie_epsilon)
+    label = str(_resolve_labels(decisive, "inconclusive", tie_epsilon))
     return StabilityVerdict(
         label=label, margins=margins, conditions=conditions, notes=tuple(notes)
     )
@@ -363,6 +413,64 @@ def _apply_axis(params: dict, name: str, value: float) -> dict:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class SweepGrid(Sequence):
+    """A swept grid as columns, one entry per cell, row-major over
+    (axis1, axis2): the axis values, the analytic verdicts and, for an
+    empirical sweep, the empirical labels, rates and fit residuals.
+
+    It is also a sequence of :class:`SweepCell`, each built when it is read,
+    and equals any sequence of equal cells, as the list it replaces did.
+    """
+
+    shape: tuple[int, int]
+    axis1: np.ndarray
+    axis2: np.ndarray
+    analytic: VerdictColumns
+    empirical_label: np.ndarray | None = None
+    empirical_rate: np.ndarray | None = None
+    empirical_residual: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.axis1.shape[0]
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return [self._cell(i) for i in picked]
+        return self._cell(picked)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def _cell(self, index: int) -> SweepCell:
+        empirical = None
+        if self.empirical_label is not None:
+            empirical = EmpiricalVerdict(
+                rate=float(self.empirical_rate[index]),
+                label=str(self.empirical_label[index]),
+                residual=float(self.empirical_residual[index]),
+            )
+        return SweepCell(
+            index,
+            float(self.axis1[index]),
+            float(self.axis2[index]),
+            self.analytic.verdict(index),
+            empirical,
+        )
+
+    def stable(self) -> np.ndarray:
+        """Whether each cell's analytic label is "stable", as an
+        axis1 x axis2 array."""
+        return (self.analytic.label == "stable").reshape(self.shape)
+
+    def boundary_points(self) -> list[tuple[float, float]]:
+        """:func:`stable_boundary_points` of the grid."""
+        return _boundary_points(self.axis1, self.axis2, self.stable())
+
+
 def sweep_region(
     base_params: Mapping[str, float],
     axis1: AxisSpec,
@@ -370,57 +478,108 @@ def sweep_region(
     *,
     empirical: bool = False,
     sim_config: CouplingConfig | None = None,
-) -> list[SweepCell]:
-    """Evaluate a 2-D parameter grid, row-major over (axis1, axis2).
+) -> SweepGrid:
+    """Evaluate a 2-D parameter grid, row-major over (axis1, axis2), as
+    columns.
 
     With ``empirical``, every cell also gets the verdict of a deterministic
-    per-step simulation; the cells are rolled out together in batches.
-    Cell seeds derive from the simulation seed XOR the row-major cell index,
-    so results are independent of evaluation order.
+    per-step simulation of its scalar system; the cells are compiled
+    together and rolled out in batches. The runs take dt, horizon, e0, u0
+    and record_stride from ``sim_config`` and ignore its mode and seed: no
+    run draws noise, so nothing depends on a seed, and no drift or
+    inner-loop setting applies.
+
+    A cell that a one-cell evaluation refuses (``analytic_1d``, or with
+    ``empirical`` the cell's policy) raises that evaluation's error; the
+    first such cell in row-major order is reported.
     """
     _validate_axes(axis1, axis2)
     missing = [key for key in _BASE_KEYS if key not in base_params]
     if missing:
         raise ParameterError(f"base parameters missing keys: {missing}")
     base = {key: float(base_params[key]) for key in _BASE_KEYS}
-    sim = sim_config if sim_config is not None else DEFAULT_SWEEP_SIM
-    cells = []
-    runs = []
-    grid = itertools.product(axis1.values().tolist(), axis2.values().tolist())
-    for index, (v1, v2) in enumerate(grid):
-        params = _apply_axis(_apply_axis(base, axis1.name, v1), axis2.name, v2)
-        cells.append(SweepCell(index, v1, v2, analytic_1d(**params)))
-        if empirical:
-            plant = PlantModel(A=[[params["A"]]], B=[[params["B"]]], setpoint=[0.0])
-            policy = ExpertPolicy(K=[[params["K"]]], Sigma=[[params["sigma"] ** 2]])
-            diffusion = DiffusionParams(g=params["g"], alpha=params["alpha"])
-            config = replace(sim, mode=CouplingMode.PER_STEP, seed=sim.seed ^ index)
-            runs.append((plant, policy, diffusion, config))
+    values1, values2 = axis1.values(), axis2.values()
+    column1, column2 = np.repeat(values1, axis2.steps), np.tile(values2, axis1.steps)
+    params = {key: np.full(column1.shape, value) for key, value in base.items()}
+    with np.errstate(all="ignore"):
+        for name, column in ((axis1.name, column1), (axis2.name, column2)):
+            if name == "kprime":
+                params["sigma"] = params["g"] * np.sqrt(params["alpha"] / column)
+            else:
+                params[name] = column
+        sigma, g, alpha = params["sigma"], params["g"], params["alpha"]
+        kprime = g * g * alpha / (sigma * sigma)
+    refused = ~((sigma > 0.0) & (g > 0.0) & (alpha > 0.0) & (kprime > 0.0) & (kprime < math.inf))
     if empirical:
-        cells = [
-            replace(cell, empirical=classify_empirical(trajectory))
-            for cell, trajectory in zip(cells, simulate_many(runs))
-        ]
-    return cells
+        variance = _policy_variance(sigma)
+        # a 1 x 1 variance is positive definite iff it is finite and > 0
+        refused |= ~(np.isfinite(variance) & (variance > 0.0))
+    if refused.any():
+        index = int(refused.argmax())
+        v1, v2 = float(values1[index // axis2.steps]), float(values2[index % axis2.steps])
+        _evaluate_cell(_apply_axis(_apply_axis(base, axis1.name, v1), axis2.name, v2), empirical)
+        raise RuntimeError(f"sweep cell {index} is refused on the grid but accepted on its own")
+    grid = SweepGrid(
+        (axis1.steps, axis2.steps),
+        column1,
+        column2,
+        _scalar_verdicts(params["A"], params["B"], params["K"], sigma, g, alpha, kprime),
+    )
+    if not empirical:
+        return grid
+    runs = simulate_scalar_grid(
+        params["A"], params["B"], params["K"], variance, g, alpha,
+        sim_config if sim_config is not None else DEFAULT_SWEEP_SIM,
+    )
+    verdicts = [classify_empirical(trajectory) for trajectory in runs]
+    return replace(
+        grid,
+        empirical_label=np.array([v.label for v in verdicts]),
+        empirical_rate=np.array([v.rate for v in verdicts]),
+        empirical_residual=np.array([v.residual for v in verdicts]),
+    )
+
+
+def _policy_variance(sigma: np.ndarray) -> np.ndarray:
+    """The variance ``ExpertPolicy(K, [[sigma ** 2]])`` stores for each cell:
+    its symmetric part, inf where the square or its symmetrization
+    overflows. The squares are taken one by one, as ``**`` on one float,
+    which can round differently from ``sigma * sigma`` in the last bit."""
+    with np.errstate(over="ignore"):
+        squared = np.array([value**2 for value in sigma])
+        return 0.5 * (squared + squared)
+
+
+def _evaluate_cell(params: dict, empirical: bool):
+    """The one-cell evaluation of a refused cell, which raises its error."""
+    analytic_1d(**params)
+    if empirical:
+        PlantModel(A=[[params["A"]]], B=[[params["B"]]], setpoint=[0.0])
+        ExpertPolicy(K=[[params["K"]]], Sigma=[[params["sigma"] ** 2]])
+        DiffusionParams(g=params["g"], alpha=params["alpha"])
 
 
 def stable_boundary_points(
-    cells: list[SweepCell], steps1: int, steps2: int
+    cells: Sequence[SweepCell], steps1: int, steps2: int
 ) -> list[tuple[float, float]]:
     """Midpoints along axis2 where the analytic label crosses stable/not,
     one scan per axis1 row. Used for the region-map overlay."""
-    points = []
-    for i in range(steps1):
-        row = cells[i * steps2 : (i + 1) * steps2]
-        for j in range(steps2 - 1):
-            here = row[j].analytic.label == "stable"
-            there = row[j + 1].analytic.label == "stable"
-            if here != there:
-                points.append(
-                    (
-                        row[j].axis1_value,
-                        0.5 * (row[j].axis2_value + row[j + 1].axis2_value),
-                    )
-                )
-                break
-    return points
+    cells = cells[: steps1 * steps2]
+    return _boundary_points(
+        np.array([cell.axis1_value for cell in cells]),
+        np.array([cell.axis2_value for cell in cells]),
+        np.array([cell.analytic.label == "stable" for cell in cells]).reshape(steps1, steps2),
+    )
+
+
+def _boundary_points(axis1, axis2, stable: np.ndarray) -> list[tuple[float, float]]:
+    """The first stable/not crossing of each row of a row-major grid, as
+    (axis1 value, midpoint of the two axis2 values)."""
+    rows = stable.shape[0]
+    axis1, axis2 = axis1.reshape(rows, -1), axis2.reshape(rows, -1)
+    flips = stable[:, 1:] != stable[:, :-1]
+    hit = np.flatnonzero(flips.any(axis=1))
+    at = flips[hit].argmax(axis=1)
+    xs = axis1[hit, at]
+    ys = 0.5 * (axis2[hit, at] + axis2[hit, at + 1])
+    return list(zip(xs.tolist(), ys.tolist()))

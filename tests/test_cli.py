@@ -343,3 +343,55 @@ class TestDeterminism:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert stdouts[0] == stdouts[1]
+
+
+class TestSweepRefusals:
+    def test_underflowing_sigma_axis_is_validation_error(self, tmp_path, capsys):
+        # sigma * sigma underflows to 0 on the first cell: used to exit 1 with a traceback
+        cfg = write_config(tmp_path, BASE_DOC)
+        out = tmp_path / "r.csv"
+        assert cli.main(
+            ["sweep", "-c", cfg, "--axis1", "sigma:1e-170:1e-160:2", "--axis2", "K:1:2:2",
+             "-o", str(out)]
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "sigma=1e-170" in err[0]
+        assert not out.exists()
+
+    def test_infinite_gain_cell_is_refused(self, tmp_path, capsys):
+        # K' = 1 / 1e-320 is inf at sigma = 1e-160: used to be labelled marginal
+        cfg = write_config(tmp_path, BASE_DOC)
+        out = tmp_path / "r.csv"
+        assert cli.main(
+            ["sweep", "-c", cfg, "--axis1", "sigma:1e-150:1e-160:2", "--axis2", "K:1:2:2",
+             "-o", str(out), "--empirical"]
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "sigma=1e-160" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis1", ["sigma:1:1e155:2", "kprime:1e-310:1:2"])
+    def test_overflowing_variance_is_validation_error(self, tmp_path, capsys, axis1):
+        # sigma ** 2 overflows at sigma = 1e155: used to escape as OverflowError;
+        # K' = 1e-310 gives sigma = inf
+        cfg = write_config(tmp_path, BASE_DOC)
+        out = tmp_path / "r.csv"
+        assert cli.main(
+            ["sweep", "-c", cfg, "--axis1", axis1, "--axis2", "K:1:2:2", "-o", str(out),
+             "--empirical"]
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: effective gain must be > 0")
+        assert not out.exists()
+
+    def test_empirical_sweep_checks_start_length(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["coupling"]["e0"] = [1.0, 2.0]
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(
+            ["sweep", "-c", cfg, "--axis1", "A:1:2:2", "--axis2", "K:1:2:2",
+             "-o", str(tmp_path / "r.csv"), "--empirical"]
+        ) == 2
+        assert capsys.readouterr().err == "error: e0 has length 2, plant expects 1\n"

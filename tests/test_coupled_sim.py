@@ -414,3 +414,35 @@ class TestDrawCounts:
         last_step = int(round(traj.times[-1] / cfg.dt))
         assert last_step < cfg.n_steps
         assert sum(draws) == last_step
+
+
+class TestSimulateScalarGrid:
+    def test_rows_match_single_runs(self, monkeypatch):
+        # a small budget splits the rows over several batches; K' = 400
+        # (variance 1/400) at dt = 0.01 diverges, the other rows decay or grow
+        monkeypatch.setattr(coupled_sim, "_BATCH_FLOATS", 5000)
+        a = np.array([2.0, -1.0, 0.5, 2.0, 0.0, 3.0, 1.0])
+        b = np.array([1.0, 1.0, -0.5, 1.0, 2.0, 1.0, 1.0])
+        k = np.array([3.0, 0.5, -2.0, 3.0, 1.0, 0.5, 2.0])
+        variance = np.array([0.25, 1.0, 0.5, 1.0 / 400.0, 2.0, 0.1, 1.0])
+        g = np.array([1.0, 1.3, 0.8, 1.0, 1.0, 1.0, 0.5])
+        alpha = np.array([1.0, 0.7, 1.2, 1.0, 1.0, 1.0, 2.0])
+        cfg = CouplingConfig(
+            mode="inner-loop", dt=0.01, horizon=5.0, e0=[1.0], u0=[0.2], seed=3,
+            record_stride=3,
+        )
+        grid = list(coupled_sim.simulate_scalar_grid(a, b, k, variance, g, alpha, cfg))
+        assert len(grid) == a.size
+        for i, traj in enumerate(grid):
+            single = simulate(
+                PlantModel(A=[[a[i]]], B=[[b[i]]], setpoint=[0.0]),
+                ExpertPolicy(K=[[k[i]]], Sigma=[[variance[i]]]),
+                DiffusionParams(g=g[i], alpha=alpha[i]),
+                replace(cfg, mode="per-step"),
+            )
+            assert traj.config.mode is CouplingMode.PER_STEP
+            assert traj.diverged == single.diverged
+            np.testing.assert_array_equal(traj.times, single.times)
+            np.testing.assert_allclose(traj.states, single.states, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(traj.actions, single.actions, rtol=1e-12, atol=1e-300)
+        assert [traj.diverged for traj in grid].count(True) == 1

@@ -18,12 +18,18 @@ from stabkit import (
     simulate,
     sweep_region,
 )
-from stabkit import coupled_sim
+from stabkit import coupled_sim, stability_analyzer
 from stabkit.errors import DimensionError, ParameterError, SingularMatrixError
+from stabkit.errors import StabkitError
 from stabkit.matrixkit import eig_2x2, eig_sym, symmetric_part
 from stabkit.stability_analyzer import EffectiveGain, stable_boundary_points
 
 RNG = np.random.default_rng(555)
+
+# An empirical sweep cell's fitted rate and residual against its own run:
+# slopes of log-norms that differ in their last bits, so the allowed gap is
+# a few eps, absolute for rates near 0 and relative for large ones.
+RATE_TOL = 16 * np.finfo(float).eps
 
 
 class TestAugmentedMatrix:
@@ -426,3 +432,241 @@ class TestSweepRegion:
         assert len(points) >= 6
         for x, y in points:
             assert abs(y - x) < 0.25
+
+
+def _cell_params(base, axis1, axis2, v1, v2):
+    """Parameters of one grid cell, applied axis by axis as a one-cell
+    evaluation does: a kprime axis sets sigma = g sqrt(alpha / kprime)."""
+    params = dict(base)
+    for name, value in ((axis1.name, v1), (axis2.name, v2)):
+        if name == "kprime":
+            params["sigma"] = params["g"] * math.sqrt(params["alpha"] / value)
+        else:
+            params[name] = value
+    return params
+
+
+def _grid_values(axis1, axis2):
+    return [(v1, v2) for v1 in axis1.values().tolist() for v2 in axis2.values().tolist()]
+
+
+class TestNonFiniteEffectiveGain:
+    BASE = {"A": 1.0, "B": 1.0, "K": 2.0, "sigma": 0.5, "g": 1.0, "alpha": 1.0}
+
+    def test_underflowing_variance_is_refused(self):
+        # sigma * sigma underflows to 0: the division used to raise ZeroDivisionError
+        with pytest.raises(ParameterError, match="effective gain"):
+            analytic_1d(1.0, 1.0, 2.0, 1e-170, 1.0, 1.0)
+        with pytest.raises(ParameterError, match="effective gain"):
+            EffectiveGain.from_scalar(1.0, 1.0, 1e-170)
+
+    def test_infinite_gain_is_refused_not_marginal(self):
+        # K' = 1 / 1e-320 overflows to inf; inf <= 1e-9 * inf used to read as a tie
+        with pytest.raises(ParameterError, match="effective gain"):
+            analytic_1d(1.0, 1.0, 2.0, 1e-160, 1.0, 1.0)
+        assert analytic_1d(1.0, 1.0, 2.0, 1e-150, 1.0, 1.0).label == "stable"
+
+    @pytest.mark.parametrize("empirical", [False, True])
+    def test_grid_reports_first_refused_cell(self, empirical):
+        # row-major cells: sigma = 1e-150 (K' = 1e300, accepted) for K = 1, 2, then
+        # sigma = 1e-160 (refused) for K = 1, 2; the report names the third cell
+        axis1, axis2 = AxisSpec("sigma", 1e-150, 1e-160, 2), AxisSpec("K", 1.0, 2.0, 2)
+        with pytest.raises(ParameterError) as expected:
+            analytic_1d(**_cell_params(self.BASE, axis1, axis2, 1e-160, 1.0))
+        with pytest.raises(ParameterError) as caught:
+            sweep_region(self.BASE, axis1, axis2, empirical=empirical)
+        assert str(caught.value) == str(expected.value)
+        assert "sigma=1e-160" in str(caught.value)
+
+    def test_empirical_grid_reports_first_refused_policy(self):
+        # sigma = 1.2e154 passes the scalar test (K' ~ 7e-309 > 0), but its
+        # policy's symmetrized variance overflows; only --empirical builds it
+        axis1, axis2 = AxisSpec("sigma", 1.0, 1.2e154, 2), AxisSpec("K", 1.0, 2.0, 2)
+        assert len(sweep_region(self.BASE, axis1, axis2)) == 4
+        with np.errstate(over="ignore"):
+            with pytest.raises(StabkitError) as expected:
+                ExpertPolicy(K=[[1.0]], Sigma=[[1.2e154**2]])
+            with pytest.raises(StabkitError) as caught:
+                sweep_region(self.BASE, axis1, axis2, empirical=True)
+        assert type(caught.value) is type(expected.value)
+        assert str(caught.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "axis1", [AxisSpec("sigma", 1.0, 1e155, 2), AxisSpec("kprime", 1e-310, 1.0, 2)]
+    )
+    def test_overflowing_variance_is_refused(self, axis1):
+        # sigma = 1e155, or inf from K' = 1e-310: the variance overflows, and
+        # the cell's K' = 0 is refused before any policy is built
+        axis2 = AxisSpec("K", 1.0, 2.0, 2)
+        v1 = axis1.values()[-1] if axis1.name == "sigma" else axis1.values()[0]
+        with pytest.raises(ParameterError) as expected:
+            analytic_1d(**_cell_params(self.BASE, axis1, axis2, float(v1), 1.0))
+        for empirical in (False, True):
+            with pytest.raises(ParameterError) as caught:
+                sweep_region(self.BASE, axis1, axis2, empirical=empirical)
+            assert str(caught.value) == str(expected.value)
+
+    def test_first_refused_cell_wins_over_a_later_overflow(self):
+        axis1, axis2 = AxisSpec("sigma", 1e-160, 1e155, 2), AxisSpec("K", 1.0, 2.0, 2)
+        with pytest.raises(ParameterError, match="sigma=1e-160"):
+            sweep_region(self.BASE, axis1, axis2, empirical=True)
+
+    def test_grid_refusal_must_be_a_one_cell_refusal(self, monkeypatch):
+        # a grid mask that refuses a cell its one-cell evaluation accepts
+        # is an internal fault, not a silent pass
+        monkeypatch.setattr(
+            stability_analyzer, "_policy_variance", lambda sigma: np.zeros_like(sigma)
+        )
+        with pytest.raises(RuntimeError, match="sweep cell 0"):
+            sweep_region(
+                self.BASE, AxisSpec("A", 0.5, 1.0, 2), AxisSpec("K", 1.0, 2.0, 2),
+                empirical=True,
+            )
+
+    def test_empirical_grid_checks_start_lengths(self):
+        sim = CouplingConfig(mode="per-step", dt=1e-2, horizon=1.0, e0=[1.0, 2.0], u0=[0.0])
+        with pytest.raises(DimensionError, match="e0 has length 2, plant expects 1"):
+            sweep_region(
+                self.BASE, AxisSpec("A", 0.5, 1.0, 2), AxisSpec("K", 1.0, 2.0, 2),
+                empirical=True, sim_config=sim,
+            )
+
+
+class TestGridVerdictParity:
+    """A grid evaluated as columns gives exactly the per-cell verdicts."""
+
+    BASE = {"A": 2.0, "B": 1.0, "K": 3.0, "sigma": 0.5, "g": 1.3, "alpha": 0.7}
+
+    GRIDS = [
+        # A < 0, A = 0, A > 0 against closed-loop ties B K = A on the diagonal
+        (AxisSpec("A", -1.0, 1.0, 5), AxisSpec("K", -1.0, 1.0, 9), {"B": 1.0}),
+        # gain ties K' = A on a kprime axis
+        (AxisSpec("A", 0.5, 2.5, 5), AxisSpec("kprime", 0.5, 2.5, 9), {"K": 4.0}),
+        (AxisSpec("kprime", 0.1, 40.0, 7), AxisSpec("B", -2.0, 3.0, 6), {}),
+        # sigma ties at sigma* = g sqrt(alpha / A)
+        (AxisSpec("sigma", 0.2, 2.0, 10), AxisSpec("A", 0.0, 1.2, 7), {}),
+        (AxisSpec("g", 0.3, 2.0, 4), AxisSpec("alpha", 0.2, 3.0, 5), {"A": -0.5}),
+        # 1-step axes
+        (AxisSpec("B", 1.5, 1.5, 1), AxisSpec("sigma", 0.2, 2.0, 7), {}),
+        (AxisSpec("K", -3.0, 3.0, 7), AxisSpec("A", 0.0, 0.0, 1), {}),
+        (AxisSpec("A", 2.0, 2.0, 1), AxisSpec("kprime", 3.0, 3.0, 1), {}),
+    ]
+
+    @pytest.mark.parametrize("axis1, axis2, overrides", GRIDS)
+    def test_grid_equals_per_cell_analytic(self, axis1, axis2, overrides):
+        base = dict(self.BASE, **overrides)
+        grid = sweep_region(base, axis1, axis2)
+        values = _grid_values(axis1, axis2)
+        assert len(grid) == len(values)
+        labels = set()
+        for index, (cell, (v1, v2)) in enumerate(zip(grid, values)):
+            expected = analytic_1d(**_cell_params(base, axis1, axis2, v1, v2))
+            assert (cell.index, cell.axis1_value, cell.axis2_value) == (index, v1, v2)
+            assert cell.analytic.label == expected.label
+            assert cell.analytic.margins == expected.margins
+            assert list(cell.analytic.margins) == list(expected.margins)
+            assert cell.analytic.conditions == expected.conditions
+            assert cell.analytic.notes == expected.notes
+            assert cell.analytic.min_margin == expected.min_margin
+            assert cell.empirical is None
+            labels.add(expected.label)
+        if axis1.steps * axis2.steps > 20:
+            assert "marginal" in labels or "unstable" in labels
+
+    def test_grids_cover_every_label_and_sign_of_a(self):
+        labels, signs = set(), set()
+        for axis1, axis2, overrides in self.GRIDS:
+            base = dict(self.BASE, **overrides)
+            for v1, v2 in _grid_values(axis1, axis2):
+                params = _cell_params(base, axis1, axis2, v1, v2)
+                labels.add(analytic_1d(**params).label)
+                signs.add(np.sign(params["A"]))
+        assert labels == {"stable", "marginal", "unstable"}
+        assert signs == {-1.0, 0.0, 1.0}
+
+    def test_grid_equals_sequences_of_its_cells(self):
+        axis1, axis2 = AxisSpec("A", -0.5, 3.0, 4), AxisSpec("K", 0.5, 6.0, 5)
+        grid = sweep_region(self.BASE, axis1, axis2)
+        assert grid == sweep_region(self.BASE, axis1, axis2)
+        assert grid == list(grid) and list(grid) == grid and grid == tuple(grid)
+        assert grid != list(grid)[:-1]
+        assert grid != sweep_region(self.BASE, axis1, AxisSpec("K", 0.5, 6.5, 5))
+        assert grid != "not a grid"
+
+    def test_columns_and_sequence_protocol(self):
+        axis1, axis2 = AxisSpec("A", -0.5, 3.0, 4), AxisSpec("kprime", 0.5, 6.0, 5)
+        grid = sweep_region(self.BASE, axis1, axis2)
+        cells = list(grid)
+        assert grid.shape == (4, 5)
+        assert grid.axis1.tolist() == [c.axis1_value for c in cells]
+        assert grid.axis2.tolist() == [c.axis2_value for c in cells]
+        assert grid.analytic.label.tolist() == [c.analytic.label for c in cells]
+        assert grid.analytic.min_margin.tolist() == [c.analytic.min_margin for c in cells]
+        assert grid.analytic.margins["kprime"].tolist() == [
+            c.analytic.margins["kprime"] for c in cells
+        ]
+        # the sigma margin column is NaN where A <= 0 (the bound is vacuous)
+        assert [math.isnan(x) for x in grid.analytic.margins["sigma"].tolist()] == [
+            "sigma" not in c.analytic.margins for c in cells
+        ]
+        assert grid.empirical_label is None
+        assert grid[-1] == cells[-1] and grid[3] == cells[3]
+        assert grid[2:7] == cells[2:7] and grid[::-3] == cells[::-3]
+        with pytest.raises(IndexError):
+            grid[len(grid)]
+        assert stable_boundary_points(cells, 4, 5) == grid.boundary_points()
+        assert grid.boundary_points()
+        assert grid.stable().tolist() == [
+            [cell.analytic.label == "stable" for cell in cells[i * 5 : (i + 1) * 5]]
+            for i in range(4)
+        ]
+
+
+class TestGridEmpiricalParity:
+    """Empirical cells compiled from columns give the verdicts of per-cell
+    ``simulate`` runs: labels and divergence exactly, rates and residuals up
+    to the last bits, which depend on the cells sharing a rollout batch."""
+
+    BASE = {"A": 2.0, "B": 1.0, "K": 3.0, "sigma": 0.5, "g": 1.0, "alpha": 1.0}
+
+    @pytest.mark.parametrize("batch_floats", [coupled_sim._BATCH_FLOATS, 5000])
+    @pytest.mark.parametrize(
+        "axis1, axis2",
+        [
+            # kprime past K' dt = 2 (Euler diverges) and below K' = A
+            (AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6)),
+            (AxisSpec("K", 0.4, 4.0, 5), AxisSpec("sigma", 0.02, 1.5, 7)),
+            (AxisSpec("g", 0.5, 2.0, 1), AxisSpec("B", -1.0, 4.0, 9)),
+        ],
+    )
+    def test_verdicts_match_per_cell_runs(self, monkeypatch, batch_floats, axis1, axis2):
+        monkeypatch.setattr(coupled_sim, "_BATCH_FLOATS", batch_floats)
+        # the sweep runs per-step and deterministic whatever the mode and seed
+        sim = CouplingConfig(
+            mode="inner-loop", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0], seed=5,
+            record_stride=4,
+        )
+        grid = sweep_region(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
+        expected = []
+        for v1, v2 in _grid_values(axis1, axis2):
+            p = _cell_params(self.BASE, axis1, axis2, v1, v2)
+            expected.append(classify_empirical(simulate(
+                PlantModel(A=[[p["A"]]], B=[[p["B"]]], setpoint=[0.0]),
+                ExpertPolicy(K=[[p["K"]]], Sigma=[[p["sigma"] ** 2]]),
+                DiffusionParams(g=p["g"], alpha=p["alpha"]),
+                CouplingConfig(
+                    mode="per-step", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0],
+                    record_stride=4,
+                ),
+            )))
+        assert grid.empirical_label.tolist() == [v.label for v in expected]
+        # a diverged run's rate is +inf
+        diverged = [v.rate == math.inf for v in expected]
+        assert (grid.empirical_rate == math.inf).tolist() == diverged
+        if axis1.name == "A":
+            assert any(diverged)
+        rates = np.array([v.rate for v in expected])
+        residuals = np.array([v.residual for v in expected])
+        np.testing.assert_allclose(grid.empirical_rate, rates, rtol=RATE_TOL, atol=RATE_TOL)
+        np.testing.assert_allclose(grid.empirical_residual, residuals, rtol=RATE_TOL, atol=RATE_TOL)
+        assert [cell.empirical.rate for cell in grid] == grid.empirical_rate.tolist()
