@@ -34,7 +34,7 @@ from .coupled_sim import (
 )
 from .dataset_quality import load_demonstrations, quality_report
 from .diffusion_controller import DiffusionParams
-from .errors import ConfigError, DatasetFormatError, ParameterError, StabkitError
+from .errors import ConfigError, ParameterError, StabkitError
 from .plant import ExpertPolicy, PlantModel
 from .stability_analyzer import (
     AxisSpec,
@@ -124,11 +124,10 @@ def _parse_policy(doc, violations: list[str]) -> ExpertPolicy | None:
 def _parse_diffusion(doc, violations: list[str]) -> DiffusionParams | None:
     _check_section_keys(doc, "diffusion", violations)
     try:
-        drift = doc.get("drift")
         return DiffusionParams(
             g=float(doc.get("g", 1.0)),
             alpha=float(doc.get("alpha", 1.0)),
-            drift=None if drift is None else drift,
+            drift=doc.get("drift"),
             stochastic=bool(doc.get("stochastic", False)),
             inner_steps=int(doc.get("inner_steps", 25)),
         )
@@ -512,9 +511,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
-        return 2
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except StabkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -414,9 +414,7 @@ def _leading_capped(table) -> np.ndarray:
     return np.where(ok.all(axis=1), ok.shape[1], ok.argmin(axis=1))
 
 
-def classify_empirical(
-    traj: Trajectory, rate_deadband: float = RATE_DEADBAND
-) -> EmpiricalVerdict:
+def classify_empirical(traj: Trajectory) -> EmpiricalVerdict:
     """Classify a rollout by the least-squares slope of log|(e, u)| over the
     trailing half of its samples.
 
@@ -447,9 +445,9 @@ def classify_empirical(
     slope = float(np.sum((t_fit - t_mean) * (y_fit - y_mean)) / t_var)
     resid = y_fit - (y_mean + slope * (t_fit - t_mean))
     residual = float(np.sqrt(np.mean(resid * resid)))
-    if slope < -rate_deadband:
+    if slope < -RATE_DEADBAND:
         label = "stable"
-    elif slope > rate_deadband:
+    elif slope > RATE_DEADBAND:
         label = "unstable"
     else:
         label = "marginal"

@@ -10,6 +10,7 @@ demonstrations.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from .errors import (
     DimensionError,
     ParameterError,
     RankDeficiencyError,
-    SingularMatrixError,
 )
 from .plant import PlantModel
 from .stability_analyzer import StabilityVerdict, analytic_1d, analytic_ndim
@@ -182,8 +182,13 @@ def load_demonstrations(source) -> DemonstrationSet:
 
 
 def estimate_gain(demos: DemonstrationSet) -> np.ndarray:
-    """Least-squares feedback gain minimizing sum |u_i + K e_i|^2, solved
-    through the normal equations."""
+    """Least-squares feedback gain minimizing sum |u_i + K e_i|^2, solved by
+    ``lstsq`` on the states themselves.
+
+    Raises RankDeficiencyError when a singular value of the states is at most
+    sqrt(``PIVOT_RTOL``) times the largest, i.e. when lam_min(E^T E) is at
+    most ``PIVOT_RTOL`` lam_max(E^T E).
+    """
     n, m = demos.n_states, demos.n_actions
     needed = n * m + 2
     if demos.n_records < needed:
@@ -191,25 +196,22 @@ def estimate_gain(demos: DemonstrationSet) -> np.ndarray:
             f"gain estimation needs at least {needed} records for "
             f"N={n}, M={m}; got {demos.n_records}"
         )
-    e_mat = demos.states
-    u_mat = demos.actions
-    gram = e_mat.T @ e_mat
-    try:
-        gram_inv = matrixkit.invert(gram)
-    except SingularMatrixError as exc:
+    solution, _, rank, _ = np.linalg.lstsq(
+        demos.states, demos.actions, rcond=math.sqrt(matrixkit.PIVOT_RTOL)
+    )
+    if rank < n:
         raise RankDeficiencyError(
             "state sample covariance is rank deficient; demonstrations do not "
             "excite every state direction"
-        ) from exc
-    return -(gram_inv @ (e_mat.T @ u_mat)).T
+        )
+    return -solution.T
 
 
-def estimate_covariance(
-    demos: DemonstrationSet, k_hat, *, cov_floor: float = DEFAULT_COV_FLOOR
-) -> np.ndarray:
+def estimate_covariance(demos: DemonstrationSet, k_hat) -> np.ndarray:
     """Sample covariance (1/(n-1) normalization) of the feedback residuals
-    r_i = u_i + K_hat e_i, regularized by ``cov_floor`` times the identity so
-    deterministic datasets still yield a positive definite result."""
+    r_i = u_i + K_hat e_i, regularized by ``DEFAULT_COV_FLOOR`` times the
+    identity so deterministic datasets still yield a positive definite
+    result."""
     if demos.n_records < 2:
         raise ParameterError("covariance estimation needs at least 2 records")
     k_hat = matrixkit.as_matrix(k_hat, "k_hat")
@@ -220,7 +222,7 @@ def estimate_covariance(
     residuals = demos.actions + demos.states @ k_hat.T
     centered = residuals - residuals.mean(axis=0)
     cov = (centered.T @ centered) / (demos.n_records - 1)
-    cov = matrixkit.symmetric_part(cov) + cov_floor * np.eye(demos.n_actions)
+    cov = matrixkit.symmetric_part(cov) + DEFAULT_COV_FLOOR * np.eye(demos.n_actions)
     return cov
 
 
@@ -265,22 +267,15 @@ def quality_report(
     )
 
 
-def generate_demonstrations(
-    K,
-    Sigma,
-    n_records: int,
-    rng: RngStream,
-    *,
-    state_scale: float = 1.0,
-) -> DemonstrationSet:
+def generate_demonstrations(K, Sigma, n_records: int, rng: RngStream) -> DemonstrationSet:
     """Synthetic demonstrations u = -K e + eta with eta ~ N(0, Sigma) and
-    e ~ N(0, state_scale^2 I). Ground-truth fixture for the estimators."""
+    e ~ N(0, I). Ground-truth fixture for the estimators."""
     if n_records < 1:
         raise ParameterError(f"n_records must be >= 1, got {n_records}")
     k = matrixkit.as_matrix(K, "K")
     lower = matrixkit.cholesky(Sigma)
     m, n = k.shape
-    states = state_scale * rng.standard_normal((n_records, n))
+    states = rng.standard_normal((n_records, n))
     noise = rng.standard_normal((n_records, m)) @ lower.T
     actions = -(states @ k.T) + noise
     return DemonstrationSet(states=states, actions=actions)

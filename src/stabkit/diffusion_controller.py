@@ -60,9 +60,9 @@ class RngStream:
     """Seeded, single-owner stream of standard normal draws.
 
     Identical seeds yield bit-identical sample sequences. One stream per
-    trajectory; never share a stream between concurrent workers. Derived
-    streams for batch cells come from ``spawn(index)`` which XORs the index
-    into the seed.
+    trajectory; never share a stream between concurrent workers.
+    ``spawn(index)`` derives a stream whose seed XORs the index into this
+    one's.
     """
 
     def __init__(self, seed: int):

@@ -32,7 +32,7 @@ class ParameterError(StabkitError, ValueError):
 
 
 class RankDeficiencyError(StabkitError, ValueError):
-    """A least-squares normal matrix is rank deficient."""
+    """A least-squares design matrix is rank deficient."""
 
 
 class DatasetFormatError(StabkitError, ValueError):

@@ -1,13 +1,13 @@
 """Dense linear algebra for small matrices (intended for N <= ~16).
 
-LAPACK, through ``numpy.linalg``, computes symmetric eigenvalues and the
-Cholesky factor; this module keeps the contracts around them: the relative
-symmetry tolerance and the relative positive-definite pivot rule.
-Inversion stays hand-written Gauss-Jordan with partial pivoting, because
-numpy exposes no LU pivots and callers rely on its ``PIVOT_RTOL`` singularity
-threshold (a rank-deficient demonstration log must be refused, not fitted).
-2x2 eigenvalues use a cancellation-safe quadratic formula. All operations
-are pure functions on immutable values.
+LAPACK, through ``numpy.linalg``, computes symmetric eigenvalues, the
+Cholesky factor, singular values and inverses; this module keeps the
+contracts around them: the relative symmetry tolerance, the relative
+positive-definite pivot rule, and the singularity rule of :func:`invert`,
+which refuses a matrix whose smallest singular value is at most
+``PIVOT_RTOL`` times its largest entry magnitude. 2x2 eigenvalues use a
+cancellation-safe quadratic formula. All operations are pure functions on
+immutable values.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .errors import (
 
 # Relative tolerance for the symmetry contract of eig_sym / is_positive_definite.
 SYMMETRY_RTOL = 1e-12
-# Pivot thresholds: relative to the largest entry (invert) or largest
-# diagonal magnitude (positive-definiteness).
+# Singularity and pivot thresholds: relative to the largest entry (invert)
+# or largest diagonal magnitude (positive-definiteness).
 PIVOT_RTOL = 1e-12
 PD_RTOL = 1e-12
 
@@ -80,26 +80,19 @@ def symmetric_part(m) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def check_symmetric(s, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Enforce the symmetry contract: symmetrize silently below ``rtol``
-    (relative to the largest entry magnitude), raise above it."""
+def check_symmetric(s, name: str = "matrix") -> np.ndarray:
+    """Enforce the symmetry contract: symmetrize silently below
+    ``SYMMETRY_RTOL`` (relative to the largest entry magnitude), raise above
+    it."""
     s = require_square(s, name)
-    scale = float(np.max(np.abs(s))) if s.size else 0.0
+    allowed = SYMMETRY_RTOL * float(np.max(np.abs(s)))
     skew = float(np.max(np.abs(s - s.T)))
-    if skew > rtol * scale:
+    if skew > allowed:
         raise AsymmetricMatrixError(
             f"{name} is asymmetric beyond tolerance: max|S - S^T| = {skew:.3e}, "
-            f"allowed {rtol * scale:.3e}"
+            f"allowed {allowed:.3e}"
         )
-    return symmetric_part(s)
-
-
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix (LAPACK ``syevd``).
-
-    Returns (eigenvalues ascending, eigenvector columns in matching order).
-    """
-    return np.linalg.eigh(a)
+    return 0.5 * (s + s.T)
 
 
 def eig_sym(s) -> np.ndarray:
@@ -111,71 +104,53 @@ def eig_sym(s) -> np.ndarray:
     return np.linalg.eigvalsh(check_symmetric(s, "eig_sym input"))
 
 
-def _cholesky_pivots(s: np.ndarray, pd_tol: float) -> np.ndarray | None:
-    """Lower Cholesky factor of ``s``, or None if any pivot is <= ``pd_tol``.
+def _cholesky_pivots(s: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of symmetric ``s``, or None if any pivot is at
+    most ``PD_RTOL`` times the largest diagonal magnitude.
 
     The pivots are the squared diagonal of the factor; LAPACK stops at the
-    first non-positive one, and the rest are checked against ``pd_tol``.
+    first non-positive one, and the rest are checked against the rule.
     """
     try:
         lower = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.diag(lower) ** 2 > pd_tol):
+    if not np.all(np.diag(lower) ** 2 > PD_RTOL * float(np.max(np.abs(np.diag(s))))):
         return None
     return lower
 
 
-def is_positive_definite(s, pd_tolerance: float | None = None) -> bool:
+def is_positive_definite(s) -> bool:
     """True iff a Cholesky factorization of the (symmetrized) input succeeds
-    with every pivot above ``pd_tolerance``.
-
-    The default tolerance is ``PD_RTOL`` times the largest diagonal magnitude,
-    so exact zero matrices and semidefinite matrices are rejected.
-    """
-    s = check_symmetric(s, "is_positive_definite input")
-    if pd_tolerance is None:
-        pd_tolerance = PD_RTOL * float(np.max(np.abs(np.diag(s))))
-    return _cholesky_pivots(s, pd_tolerance) is not None
+    with every pivot above ``PD_RTOL`` times the largest diagonal magnitude,
+    so exact zero matrices and semidefinite matrices are rejected."""
+    return _cholesky_pivots(check_symmetric(s, "is_positive_definite input")) is not None
 
 
 def cholesky(s) -> np.ndarray:
     """Lower Cholesky factor L with S = L L^T; raises when S is not positive
     definite under the same pivot rule as :func:`is_positive_definite`."""
-    s = check_symmetric(s, "cholesky input")
-    pd_tol = PD_RTOL * float(np.max(np.abs(np.diag(s))))
-    lower = _cholesky_pivots(s, pd_tol)
+    lower = _cholesky_pivots(check_symmetric(s, "cholesky input"))
     if lower is None:
         raise NotPositiveDefiniteError("matrix is not positive definite")
     return lower
 
 
 def invert(m) -> np.ndarray:
-    """Matrix inverse by Gaussian elimination with partial pivoting.
+    """Matrix inverse (LAPACK ``gesv``).
 
-    Raises SingularMatrixError when the best available pivot falls below
+    Raises SingularMatrixError when the smallest singular value is at most
     ``PIVOT_RTOL`` times the largest entry magnitude of the input.
     """
     m = require_square(m, "invert input")
-    n = m.shape[0]
-    scale = float(np.max(np.abs(m)))
-    threshold = PIVOT_RTOL * scale
-    aug = np.hstack([m.astype(float, copy=True), np.eye(n)])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if abs(pivot) <= threshold:
-            raise SingularMatrixError(
-                f"matrix is singular to working precision (pivot {pivot:.3e} "
-                f"at column {col})"
-            )
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n:]
+    smallest = float(np.linalg.svd(m, compute_uv=False)[-1])
+    threshold = PIVOT_RTOL * float(np.max(np.abs(m)))
+    if smallest <= threshold:
+        raise SingularMatrixError(
+            f"matrix is singular to working precision (smallest singular value "
+            f"{smallest:.3e}, allowed {threshold:.3e})"
+        )
+    return np.linalg.inv(m)
 
 
 def eig_2x2(m) -> tuple[complex, complex]:

@@ -34,7 +34,7 @@ from .coupled_sim import (
     simulate_scalar_grid,
 )
 from .diffusion_controller import DiffusionParams
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, NonFiniteError, ParameterError
 from .plant import ExpertPolicy, PlantModel
 
 # Margins within TIE_EPSILON (relative) of zero classify as "marginal": the
@@ -106,14 +106,14 @@ def _check_positive(**values: float):
             raise ParameterError(f"{name} must be > 0, got {value}")
 
 
-def _resolve_labels(decisive, failure_label: str, tie_epsilon: float) -> np.ndarray:
+def _resolve_labels(decisive, failure_label: str) -> np.ndarray:
     """Resolve stable / marginal / <failure_label> per cell from
     (margin, scale, applies) columns or scalars; a pair counts only where
     ``applies`` holds."""
     fails = ties = False
     for margin, scale, applies in decisive:
-        fails = fails | (applies & (margin < -tie_epsilon * scale))
-        ties = ties | (applies & (np.abs(margin) <= tie_epsilon * scale))
+        fails = fails | (applies & (margin < -TIE_EPSILON * scale))
+        ties = ties | (applies & (np.abs(margin) <= TIE_EPSILON * scale))
     return np.where(fails, failure_label, np.where(ties, "marginal", "stable"))
 
 
@@ -141,14 +141,7 @@ def augmented_matrix(A, B, K, lam) -> np.ndarray:
 
 
 def analytic_1d(
-    A: float,
-    B: float,
-    K: float,
-    sigma: float,
-    g: float,
-    alpha: float,
-    *,
-    tie_epsilon: float = TIE_EPSILON,
+    A: float, B: float, K: float, sigma: float, g: float, alpha: float
 ) -> StabilityVerdict:
     """Scalar stability verdict.
 
@@ -161,9 +154,12 @@ def analytic_1d(
     sigma, g, alpha = float(sigma), float(g), float(alpha)
     _check_positive(sigma=sigma, g=g, alpha=alpha)
     a, b, k = float(A), float(B), float(K)
+    for name, value in (("A", a), ("B", b), ("K", k)):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{name} must be finite, got {value}")
     kprime = EffectiveGain.from_scalar(g, alpha, sigma).kprime
     columns = [np.array([value]) for value in (a, b, k, sigma, g, alpha, kprime)]
-    return _scalar_verdicts(*columns, tie_epsilon=tie_epsilon).verdict(0)
+    return _scalar_verdicts(*columns).verdict(0)
 
 
 _VACUOUS_NOTE = (
@@ -198,7 +194,7 @@ class VerdictColumns:
         )
 
 
-def _scalar_verdicts(a, b, k, sigma, g, alpha, kprime, *, tie_epsilon=TIE_EPSILON):
+def _scalar_verdicts(a, b, k, sigma, g, alpha, kprime):
     """The scalar test over equal-length columns of validated parameters,
     with K' = g^2 alpha / sigma^2 given. Each cell sees the IEEE operations
     of a one-cell call, in the same order.
@@ -223,7 +219,6 @@ def _scalar_verdicts(a, b, k, sigma, g, alpha, kprime, *, tie_epsilon=TIE_EPSILO
     label = _resolve_labels(
         [(margin_cl, scale_cl, True), (margin_kp, scale_kp, live), (margin_sigma, scale_sigma, live)],
         "unstable",
-        tie_epsilon,
     )
     # min() over the margins in order: a later margin wins only when smaller
     smallest = np.where(margin_kp < margin_cl, margin_kp, margin_cl)
@@ -260,16 +255,7 @@ def second_order_coefficients(A, B, K, Sigma) -> tuple[np.ndarray, np.ndarray]:
     return c1, c0
 
 
-def analytic_ndim(
-    A,
-    B,
-    K,
-    Sigma,
-    g: float,
-    alpha: float,
-    *,
-    tie_epsilon: float = TIE_EPSILON,
-) -> StabilityVerdict:
+def analytic_ndim(A, B, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
     """N-dimensional sufficient-condition verdict.
 
     With effective precision P = g^2 alpha Sigma^{-1}:
@@ -314,7 +300,7 @@ def analytic_ndim(
         (margin_gain, max(1.0, abs(lam_min_p), abs(lam_max_s1)), True),
         (margin_cl, max(1.0, abs(lam_max_cl)), True),
     ]
-    label = str(_resolve_labels(decisive, "inconclusive", tie_epsilon))
+    label = str(_resolve_labels(decisive, "inconclusive"))
     return StabilityVerdict(
         label=label, margins=margins, conditions=conditions, notes=tuple(notes)
     )
@@ -358,6 +344,12 @@ class AxisSpec:
             )
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ParameterError("axis bounds must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(self.values())):
+                raise ParameterError(
+                    f"axis {self.name!r} spans {self.start!r} to {self.stop!r}, which "
+                    f"overflows: its values are not all finite"
+                )
         if self.name in ("sigma", "g", "alpha", "kprime") and (
             self.start <= 0.0 or self.stop <= 0.0
         ):
@@ -400,17 +392,6 @@ def _validate_axes(axis1: AxisSpec, axis2: AxisSpec):
             "a kprime axis fixes sigma from g and alpha and cannot be combined "
             "with a sigma, g, or alpha axis"
         )
-
-
-def _apply_axis(params: dict, name: str, value: float) -> dict:
-    out = dict(params)
-    if name == "kprime":
-        if not (value > 0.0):
-            raise ParameterError(f"kprime must be > 0, got {value}")
-        out["sigma"] = out["g"] * math.sqrt(out["alpha"] / value)
-    else:
-        out[name] = float(value)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,10 +478,9 @@ def sweep_region(
     missing = [key for key in _BASE_KEYS if key not in base_params]
     if missing:
         raise ParameterError(f"base parameters missing keys: {missing}")
-    base = {key: float(base_params[key]) for key in _BASE_KEYS}
-    values1, values2 = axis1.values(), axis2.values()
-    column1, column2 = np.repeat(values1, axis2.steps), np.tile(values2, axis1.steps)
-    params = {key: np.full(column1.shape, value) for key, value in base.items()}
+    column1 = np.repeat(axis1.values(), axis2.steps)
+    column2 = np.tile(axis2.values(), axis1.steps)
+    params = {key: np.full(column1.shape, float(base_params[key])) for key in _BASE_KEYS}
     with np.errstate(all="ignore"):
         for name, column in ((axis1.name, column1), (axis2.name, column2)):
             if name == "kprime":
@@ -510,14 +490,14 @@ def sweep_region(
         sigma, g, alpha = params["sigma"], params["g"], params["alpha"]
         kprime = g * g * alpha / (sigma * sigma)
     refused = ~((sigma > 0.0) & (g > 0.0) & (alpha > 0.0) & (kprime > 0.0) & (kprime < math.inf))
+    refused |= ~(np.isfinite(params["A"]) & np.isfinite(params["B"]) & np.isfinite(params["K"]))
     if empirical:
         variance = _policy_variance(sigma)
         # a 1 x 1 variance is positive definite iff it is finite and > 0
         refused |= ~(np.isfinite(variance) & (variance > 0.0))
     if refused.any():
         index = int(refused.argmax())
-        v1, v2 = float(values1[index // axis2.steps]), float(values2[index % axis2.steps])
-        _evaluate_cell(_apply_axis(_apply_axis(base, axis1.name, v1), axis2.name, v2), empirical)
+        _evaluate_cell({key: float(params[key][index]) for key in _BASE_KEYS}, empirical)
         raise RuntimeError(f"sweep cell {index} is refused on the grid but accepted on its own")
     grid = SweepGrid(
         (axis1.steps, axis2.steps),

@@ -1,5 +1,7 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from stabkit import cli
@@ -130,6 +132,18 @@ class TestAnalyze:
         cfg = write_config(tmp_path, doc)
         assert cli.main(["analyze", "-c", cfg]) == 2
         assert "square" in capsys.readouterr().err
+
+    def test_nearly_singular_B_is_refused(self, tmp_path, capsys):
+        doc = {
+            "plant": {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 1.0], [1.0, 1.0 + 1e-14]]},
+            "policy": {"K": [[1.0, 0.0], [0.0, 1.0]], "sigma": 0.5},
+            "diffusion": {"g": 1.0, "alpha": 1.0},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["analyze", "-c", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix is singular")
 
 
 class TestSweep:
@@ -328,6 +342,22 @@ class TestDatasetCheck:
         assert (report["g"], report["alpha"]) == (1.0, 1.0)
         assert report["sigma_threshold"] == pytest.approx(0.5)
 
+    def test_rank_deficient_log_is_refused(self, tmp_path, capsys):
+        # states (x, x + 2e-7 y): cond(E) ~ 1e7 is past the rank cut-off
+        draws = RngStream(21).standard_normal((2000, 2))
+        states = np.column_stack([draws[:, 0], draws[:, 0] + 2e-7 * draws[:, 1]])
+        actions = -(states @ np.array([[1.5, -0.5], [0.25, 2.0]]).T)
+        rows = np.hstack([states, actions])
+        demos = tmp_path / "collinear.csv"
+        demos.write_text(
+            "e_1,e_2,u_1,u_2\n" + "".join("%.17g,%.17g,%.17g,%.17g\n" % tuple(r) for r in rows)
+        )
+        doc = {"plant": {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}}
+        cfg = write_config(tmp_path, doc, "plant.json")
+        assert cli.main(["dataset-check", "-d", str(demos), "-c", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "rank deficient" in err[0]
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
@@ -384,6 +414,21 @@ class TestSweepRefusals:
         ) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: effective gain must be > 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("empirical", [[], ["--empirical"]])
+    def test_overflowing_axis_span_is_refused(self, tmp_path, capsys, empirical):
+        # linspace(-1e308, 1e308, 3) is (nan, inf, 1e308): the nan cell used to be "stable"
+        cfg = write_config(tmp_path, BASE_DOC)
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(
+                ["sweep", "-c", cfg, "--axis1", "A:-1e308:1e308:3", "--axis2", "K:1:2:2",
+                 "-o", str(out), *empirical]
+            ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: axis 'A'")
         assert not out.exists()
 
     def test_empirical_sweep_checks_start_length(self, tmp_path, capsys):

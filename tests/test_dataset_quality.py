@@ -97,6 +97,35 @@ class TestEstimateGain:
             estimate_gain(demos)
 
 
+NEAR_COLLINEAR_K = np.array([[1.5, -0.5], [0.25, 2.0]])
+
+
+def _near_collinear_log(delta, n=2000, seed=21):
+    """A noise-free log with states (x, x + delta y) and actions u = -K e;
+    cond(E) is about 2 / delta."""
+    draws = RngStream(seed).standard_normal((n, 2))
+    states = np.column_stack([draws[:, 0], draws[:, 0] + delta * draws[:, 1]])
+    return DemonstrationSet(states=states, actions=-(states @ NEAR_COLLINEAR_K.T))
+
+
+class TestGainConditioning:
+    def test_ill_conditioned_log_recovers_gain(self):
+        # cond(E) ~ 2e5: the normal equations square it to ~4e10 and miss K
+        # by ~1e-5; a least-squares solve on E stays near cond(E) * eps
+        demos = _near_collinear_log(1e-5)
+        assert 1e5 < np.linalg.cond(demos.states) < 1e6
+        assert np.max(np.abs(estimate_gain(demos) - NEAR_COLLINEAR_K)) < 1e-9
+
+    def test_rank_boundary(self):
+        accepted = _near_collinear_log(2e-5)
+        assert np.linalg.cond(accepted.states) < 2e5
+        assert np.max(np.abs(estimate_gain(accepted) - NEAR_COLLINEAR_K)) < 1e-9
+        refused = _near_collinear_log(2e-7)
+        assert np.linalg.cond(refused.states) > 5e6
+        with pytest.raises(RankDeficiencyError):
+            estimate_gain(refused)
+
+
 class TestEstimateCovariance:
     def test_noiseless_gives_floor(self):
         e = np.linspace(-2, 2, 20).reshape(-1, 1)

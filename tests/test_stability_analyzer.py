@@ -19,7 +19,7 @@ from stabkit import (
     sweep_region,
 )
 from stabkit import coupled_sim, stability_analyzer
-from stabkit.errors import DimensionError, ParameterError, SingularMatrixError
+from stabkit.errors import DimensionError, NonFiniteError, ParameterError, SingularMatrixError
 from stabkit.errors import StabkitError
 from stabkit.matrixkit import eig_2x2, eig_sym, symmetric_part
 from stabkit.stability_analyzer import EffectiveGain, stable_boundary_points
@@ -156,6 +156,12 @@ class TestSecondOrderCoefficients:
             second_order_coefficients(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.eye(1))
         with pytest.raises(SingularMatrixError):
             second_order_coefficients(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
+
+    def test_refuses_nearly_singular_B(self):
+        with pytest.raises(SingularMatrixError):
+            second_order_coefficients(
+                np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 1e-14]], np.eye(2), np.eye(2)
+            )
 
     def test_requires_spd_sigma(self):
         with pytest.raises(ParameterError):
@@ -530,6 +536,31 @@ class TestNonFiniteEffectiveGain:
                 self.BASE, AxisSpec("A", 0.5, 1.0, 2), AxisSpec("K", 1.0, 2.0, 2),
                 empirical=True, sim_config=sim,
             )
+
+
+class TestNonFiniteParameters:
+    BASE = TestNonFiniteEffectiveGain.BASE
+
+    @pytest.mark.parametrize("name", ["A", "B", "K"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_analytic_1d_refuses(self, name, value):
+        params = dict(self.BASE, **{name: value})
+        with pytest.raises(NonFiniteError, match=f"{name} must be finite"):
+            analytic_1d(**params)
+
+    @pytest.mark.parametrize("name", ["A", "B", "K"])
+    @pytest.mark.parametrize("empirical", [False, True])
+    def test_sweep_refuses_non_finite_base(self, name, empirical):
+        base = dict(self.BASE, **{name: math.nan})
+        axis1, axis2 = AxisSpec("sigma", 0.5, 1.0, 2), AxisSpec("alpha", 1.0, 2.0, 2)
+        with pytest.raises(NonFiniteError, match=f"{name} must be finite"):
+            sweep_region(base, axis1, axis2, empirical=empirical)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_axis_span_must_not_overflow(self, steps):
+        with pytest.raises(ParameterError, match="overflows"):
+            AxisSpec("A", -1e308, 1e308, steps)
+        assert np.all(np.isfinite(AxisSpec("A", -1e307, 1e307, 3).values()))
 
 
 class TestGridVerdictParity:
