@@ -13,6 +13,7 @@ dataset-quality gate.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -453,7 +454,10 @@ def cmd_dataset_check(args) -> int:
     return 0 if report.verdict.label == "stable" else 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``stab`` parser, built once per process: parsing leaves it as it
+    was, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="stab",
         description="Simulate and analyze LTI plants under denoising-diffusion control.",

@@ -120,10 +120,14 @@ class Trajectory:
 
     def joint_norms(self) -> np.ndarray:
         """Euclidean norm of the stacked (e, u) vector per sample."""
-        return np.sqrt(
-            np.sum(self.states * self.states, axis=1)
-            + np.sum(self.actions * self.actions, axis=1)
-        )
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(
+                np.sum(self.states * self.states, axis=1)
+                + np.sum(self.actions * self.actions, axis=1)
+            )
+        if np.isinf(norms).any():
+            norms = _rescale_overflow(norms, np.hstack([self.states, self.actions]))
+        return norms
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,9 @@ def simulate_scalar_grid(a, b, k, variance, g, alpha, config: CouplingConfig) ->
 def _start(config: CouplingConfig) -> tuple[np.ndarray, float]:
     """The homogeneous start row (e0, u0, 1) of a run and its blow-up bound."""
     z0 = np.concatenate([config.e0, config.u0, [1.0]])
-    return z0, BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(config.e0)))
+    with np.errstate(over="ignore"):
+        norm = _rescale_overflow(np.array([np.linalg.norm(config.e0)]), config.e0[None])
+    return z0, BLOWUP_FACTOR * (1.0 + float(norm[0]))
 
 
 def _compile(
@@ -297,19 +303,31 @@ def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajector
     ``configs[r]`` gives its step count, stride, dt and seed. z0 and blow may
     be one row and one bound shared by all runs.
 
-    The maps act on homogeneous rows (z, 1), so z M^T + c is one matmul.
-    Deterministic rows advance a block of up to ``_BLOCK`` recorded samples
-    per batched matmul, against a table of the powers of M^stride built by
-    doubling. A power is used only while its entries stay within
+    The maps act on homogeneous rows (z, 1), so z M^T + c is one matmul by
+    H. Rows advance a block of up to ``_BLOCK`` recorded samples per batched
+    matmul, against a table of the powers of P = H^stride built by doubling.
+    A noisy row adds its block's draws Xi as Xi T, with T the block-Toeplitz
+    map of the noise-mapped powers [G^T, 0] H^m, applied in two factors:
+    each sample's draws reach its end through one stride's kicks
+    (``_kicks``), and a doubling scan by P, P^2, P^4, ... carries them to
+    the later samples. A noiseless row is the zero-width case. A block's
+    draws and the kicks fit ``_BATCH_FLOATS``.
+
+    Draw contract: a block reads its draws with ``RngStream.peek``, which
+    does not advance the stream, then takes through ``standard_normal``
+    exactly the draws of the samples it keeps, up to the one that diverged.
+    A seed keeps its draws, in the order ``full_denoise`` takes them, and a
+    stopped row draws nothing past its last sample.
+
+    A power or kick is used only while its entries stay within
     ``_POWER_CAP``: an overflowing power would turn an exact zero state into
-    NaN. Rows with noise, and rows whose first power exceeds the cap,
-    advance one recorded sample at a time, in chunks of plant steps; a row
-    draws each chunk's noise just before it, so a stopped row draws nothing
-    past its last sample.
+    NaN. Rows whose first power or kicks pass the cap, and noisy rows whose
+    one-stride kicks exceed the budget, advance one recorded sample at a
+    time, in chunks of plant steps, drawing each chunk's noise just before it.
     """
     count, dim = step_mat.shape[:2]
     steps, stride, n = configs[0].n_steps, configs[0].record_stride, configs[0].e0.shape[0]
-    width = None if noise is None else noise.shape[2]
+    width = 0 if noise is None else noise.shape[2]
     hom = np.zeros((count, dim + 1, dim + 1))
     hom[:, dim, dim] = 1.0
     hom[:, :dim, :dim], hom[:, dim, :dim] = step_mat.transpose(0, 2, 1), step_off
@@ -321,12 +339,14 @@ def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajector
     records[:, 0] = z0
     counts = np.full(count, ks.size)
     diverged = np.zeros(count, dtype=bool)
+    rngs = [RngStream(config.seed) for config in configs] if width else []
 
     def keep(rows, block, first):
         """Stop each row whose samples (block[i] is record first + i) blow
         up; return the mask of rows that keep running."""
-        e_norm = np.sqrt(np.sum(block[..., :n] ** 2, axis=-1))
-        u_norm = np.sqrt(np.sum(block[..., n:dim] ** 2, axis=-1))
+        e_norm = _rescale_overflow(np.sqrt(np.sum(block[..., :n] ** 2, axis=-1)), block[..., :n])
+        u_norm = _rescale_overflow(np.sqrt(np.sum(block[..., n:dim] ** 2, axis=-1)),
+                                   block[..., n:dim])
         bad = ~np.isfinite(block).all(axis=-1) | (np.maximum(e_norm, u_norm) > blow[rows, None])
         hit = bad.any(axis=1)
         counts[rows[hit]] = first + 1 + bad[hit].argmax(axis=1)
@@ -334,56 +354,76 @@ def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajector
         return ~hit
 
     with np.errstate(over="ignore", invalid="ignore"):
-        stepwise = np.full(count, width is not None)
-        if width is None:
-            table = _power_table(np.linalg.matrix_power(hom, min(stride, steps)), min(full, _BLOCK))
-            usable = _leading_capped(table)
-            last = np.linalg.matrix_power(hom, rem)
-            stepwise = (usable == 0) | (_leading_capped(last[:, None]) == 0)
-            # Rows that stopped or run stepwise are carried as zeros.
-            live = ~stepwise
-            z = np.where(live[:, None], z0, 0.0)
-            done = 0
-            while live.any() and done < full + (rem > 0):
-                size = int(min(full - done, usable[live].min())) if done < full else 1
-                block = np.matmul(z[:, None, None], table[:, :size] if done < full else last[:, None])
-                records[:, 1 + done : 1 + done + size] = block[:, :, 0]
-                rows = np.flatnonzero(live)
-                live[rows[~keep(rows, block[rows, :, 0], 1 + done)]] = False
-                z = np.where(live[:, None], block[:, -1, 0], 0.0)
-                done += size
+        span = min(stride, steps)
+        table = _power_table(np.linalg.matrix_power(hom, span), min(full, _BLOCK))
+        last = np.linalg.matrix_power(hom, rem)
+        usable = _leading_capped(table)
+        stepwise = (usable == 0) | (_leading_capped(last[:, None]) == 0)
+        reach = span
+        if width:
+            # The kicks of up to one sample's steps, and a block's draws, fit
+            # the budget; a row whose sample needs more kicks goes stepwise.
+            reach = max(1, min(span, _BATCH_FLOATS // (count * width * (dim + 1))))
+            kicks = _kicks(hom, noise, reach)
+            usable = np.minimum(usable, _BATCH_FLOATS // (count * span * width))
+            stepwise |= (reach < span) | ~(np.abs(kicks) <= _POWER_CAP).all(axis=(1, 2))
+        # Rows that stopped or run stepwise are carried as zeros.
+        live = ~stepwise
+        z = np.where(live[:, None], z0, 0.0)
+        done = 0
+        while live.any() and done < full + (rem > 0):
+            main = done < full
+            size = int(min(full - done, usable[live].min())) if main else 1
+            block = np.matmul(z[:, None, None], table[:, :size] if main else last[:, None])[:, :, 0]
+            rows = np.flatnonzero(live)
+            if width:
+                # Each sample's own draws, then those of earlier samples
+                # carried forward by a doubling scan over the powers.
+                per = (span if main else rem) * width
+                xi = np.zeros((count, size, per))
+                for row in rows:
+                    xi[row] = rngs[row].peek(size * per).reshape(size, per)
+                kicked = np.matmul(xi, kicks[:, kicks.shape[1] - per :])
+                lag = 1
+                while lag < size:
+                    kicked[:, lag:] += np.matmul(kicked[:, :-lag], table[:, lag - 1])
+                    lag *= 2
+                block += kicked
+            records[:, 1 + done : 1 + done + size] = block
+            live[rows[~keep(rows, block[rows], 1 + done)]] = False
+            if width:
+                for row in rows:  # take the draws of the samples kept
+                    rngs[row].standard_normal(min(size, counts[row] - 1 - done) * per)
+            z = np.where(live[:, None], block[:, -1], 0.0)
+            done += size
 
         rows = np.flatnonzero(stepwise)
-        width = width or 0
-        span = min(stride, steps, _BATCH_FLOATS // max(1, rows.size * (dim + 1) * (dim + width + 1)))
-        powers = _power_table(hom[rows], span)
-        span = max(1, int(_leading_capped(powers).min(initial=span)))
-        if width and rows.size:
+        chunk = min(reach, _BATCH_FLOATS // max(1, rows.size * (dim + 1) ** 2))
+        powers = _power_table(hom[rows], chunk)
+        chunk = max(1, int(_leading_capped(powers).min(initial=chunk)))
+        if width:
             # Over a chunk of c steps: z <- z H^c + sum_i xi_i G^T H^(c-1-i).
-            lower = np.concatenate([np.broadcast_to(np.eye(dim + 1), powers[:, :1].shape),
-                                    powers[:, : span - 1]], axis=1)
-            noise_t = noise[rows].transpose(0, 2, 1)
-            kicks = np.matmul(noise_t[:, None], lower[:, ::-1, :dim])
-            kicks = kicks.reshape(rows.size, span * width, dim + 1)
-            rngs = [RngStream(configs[r].seed) for r in rows]
+            kicks = kicks[rows]
+            streams = [rngs[r] for r in rows]
         z = z0[rows, None]
         for record in range(1, ks.size if rows.size else 1):
             left = stride if record <= full else rem
             while left:
-                size = min(left, span)
+                size = min(left, chunk)
                 z = np.matmul(z, powers[:, size - 1])
                 if width:
-                    draws = np.array([rng.standard_normal(size * width) for rng in rngs])
-                    z += np.matmul(draws[:, None], kicks[:, (span - size) * width :])
+                    draws = np.array([rng.standard_normal(size * width) for rng in streams])
+                    z += np.matmul(draws[:, None], kicks[:, kicks.shape[1] - size * width :])
                 left -= size
             records[rows, record] = z[:, 0]
-            # One sum of squares within the smallest bound clears every row.
-            if not np.vdot(z, z) <= blow[rows].min() ** 2:
+            # One sum of squares below the smallest bound clears every row; a
+            # sum that overflows goes to the per-row check.
+            if not np.vdot(z, z) < blow[rows].min() ** 2:
                 running = keep(rows, z, record)
                 rows, z, powers = rows[running], z[running], powers[running]
                 if width:
                     kicks = kicks[running]
-                    rngs = [rng for rng, go in zip(rngs, running) if go]
+                    streams = [rng for rng, go in zip(streams, running) if go]
                 if not rows.size:
                     break
 
@@ -391,6 +431,37 @@ def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajector
         kept = counts[row]
         yield Trajectory(ks[:kept] * config.dt, records[row, :kept, :n].copy(),
                          records[row, :kept, n:dim].copy(), config, bool(diverged[row]))
+
+
+def _kicks(hom, noise, steps: int) -> np.ndarray:
+    """How the draws of ``steps`` plant steps reach the state after them, for
+    a batch of homogeneous maps H (B x D+1 x D+1) with noise maps G
+    (B x D x W): row t W + i of the result (B x steps W x D+1) is the image
+    [G^T, 0] H^(steps - 1 - t) of draw i of step t, built by doubling. Its
+    last c W rows serve a run of c <= steps steps."""
+    count, size = hom.shape[:2]
+    mapped = np.zeros((count, steps, noise.shape[2], size))
+    mapped[:, 0, :, : size - 1] = noise.transpose(0, 2, 1)
+    filled, power = 1, hom
+    while filled < steps:
+        more = min(filled, steps - filled)
+        np.matmul(mapped[:, :more], power[:, None], out=mapped[:, filled : filled + more])
+        filled += more
+        power = power @ power
+    return mapped[:, ::-1].reshape(count, -1, size)
+
+
+def _rescale_overflow(norms, vectors) -> np.ndarray:
+    """``norms`` of ``vectors`` (along their last axis), with each norm that
+    overflowed to inf from a finite vector recomputed on the vector divided
+    by its largest magnitude, whose squares do not overflow."""
+    over = np.isinf(norms)
+    if over.any():
+        over &= np.isfinite(vectors).all(axis=-1)
+        big = vectors[over]
+        scale = np.abs(big).max(axis=-1, keepdims=True)
+        norms[over] = scale[:, 0] * np.sqrt(np.sum((big / scale) ** 2, axis=-1))
+    return norms
 
 
 def _power_table(mats, length: int) -> np.ndarray:

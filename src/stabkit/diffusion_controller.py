@@ -62,15 +62,25 @@ class RngStream:
     Identical seeds yield bit-identical sample sequences. One stream per
     trajectory; never share a stream between concurrent workers.
     ``spawn(index)`` derives a stream whose seed XORs the index into this
-    one's.
+    one's. ``peek(size)`` returns the draws ``standard_normal(size)`` would
+    return next, without taking them.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _SEED_MASK
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._shadow = None
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
+
+    def peek(self, size: int) -> np.ndarray:
+        """The next ``size`` draws of ``standard_normal``, read from a copy of
+        the stream's state: the stream itself does not advance."""
+        if self._shadow is None:
+            self._shadow = np.random.Generator(np.random.PCG64(0))
+        self._shadow.bit_generator.state = self._gen.bit_generator.state
+        return self._shadow.standard_normal(size)
 
     def spawn(self, index: int) -> "RngStream":
         return RngStream(self.seed ^ (int(index) & _SEED_MASK))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -440,3 +443,48 @@ class TestSweepRefusals:
              "-o", str(tmp_path / "r.csv"), "--empirical"]
         ) == 2
         assert capsys.readouterr().err == "error: e0 has length 2, plant expects 1\n"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; a sequence of calls in
+    one process must print and write what each call does in a fresh one."""
+
+    @staticmethod
+    def in_process(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses bad arguments this way
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def fresh_process(argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("STAB_SEED", None)
+        done = subprocess.run([sys.executable, "-m", "stabkit.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("STAB_SEED", raising=False)
+        cfg = write_config(tmp_path, BASE_DOC)
+        axes = ["--axis1", "A:1.0:2.0:3", "--axis2", "kprime:3.0:6.0:2"]
+        calls = [
+            (["sweep", "-c", cfg, *axes, "--empirical", "-o"], "empirical.csv"),
+            (["sweep", "-c", cfg, *axes, "-o"], "analytic.csv"),
+            (["sweep", "-c", cfg, "--axis1", "A:1.0:2.0:3"], None),  # no --axis2: exit 2
+            (["simulate", "-c", cfg, "-o"], "traj.csv"),
+        ]
+        for side in ("one", "fresh"):
+            (tmp_path / side).mkdir()
+        for argv, name in calls:
+            outputs = []
+            for side in ("one", "fresh"):
+                args = argv + [str(tmp_path / side / name)] if name else argv
+                run = self.in_process(args, capsys) if side == "one" else self.fresh_process(args)
+                written = (tmp_path / side / name).read_bytes() if name else b""
+                outputs.append((run, written))
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0][0] == (2 if name is None else 0)

@@ -416,6 +416,136 @@ class TestDrawCounts:
         assert sum(draws) == last_step
 
 
+def stepwise_reference(plant, policy, diffusion, cfg):
+    """One plant step per iteration of _compile's (M, c, G), drawing each
+    step's noise from the run's stream; stops at the first recorded sample
+    whose state or action norm passes the blow-up bound. Returns the
+    recorded joint states, whether the run diverged and the draws taken."""
+    step_mat, step_off, noise = coupled_sim._compile(plant, policy, diffusion, cfg)
+    rng, n = sk.RngStream(cfg.seed), plant.n_states
+    bound = coupled_sim.BLOWUP_FACTOR * (1.0 + np.linalg.norm(cfg.e0))
+    z = np.concatenate([cfg.e0, cfg.u0])
+    samples, drawn = [z], 0
+    for step in range(1, cfg.n_steps + 1):
+        z = step_mat @ z + step_off
+        if noise is not None:
+            z = z + noise @ rng.standard_normal(noise.shape[1])
+            drawn += noise.shape[1]
+        if step % cfg.record_stride and step != cfg.n_steps:
+            continue
+        samples.append(z)
+        if max(np.linalg.norm(z[:n]), np.linalg.norm(z[n:])) > bound:
+            return np.array(samples), True, drawn
+    return np.array(samples), False, drawn
+
+
+def record_sizes(monkeypatch, method):
+    """Sizes of the calls to ``RngStream.<method>`` made while the test runs."""
+    sizes = []
+    original = getattr(sk.RngStream, method)
+
+    def recorded(self, size=None):
+        out = original(self, size)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(sk.RngStream, method, recorded)
+    return sizes
+
+
+def past_bound(traj):
+    """Per sample of a scalar run, whether |e| or |u| passes its bound."""
+    bound = coupled_sim.BLOWUP_FACTOR * (1.0 + abs(traj.config.e0[0]))
+    return np.maximum(np.abs(traj.states[:, 0]), np.abs(traj.actions[:, 0])) > bound
+
+
+class TestBlockRollout:
+    """Noisy rows advance a block of recorded samples per matmul; they must
+    match a one-step-at-a-time loop over the same draws."""
+
+    NOISY = DiffusionParams(g=1.0, alpha=1.0, stochastic=True, inner_steps=4)
+
+    # A 16-float budget holds the kicks of fewer steps than strides 7 and 10
+    # take, so those runs step; stride 1 runs blocks of one sample.
+    @pytest.mark.parametrize("budget", [coupled_sim._BATCH_FLOATS, 16])
+    @pytest.mark.parametrize("stride", [1, 7, 10])  # 1001 steps: 10 leaves one over
+    @pytest.mark.parametrize("mode", [CouplingMode.PER_STEP, CouplingMode.INNER_LOOP])
+    @pytest.mark.parametrize("system", [SQUARE, NON_SQUARE], ids=["N1", "N3M2"])
+    def test_matches_one_step_loop(self, monkeypatch, system, mode, stride, budget):
+        monkeypatch.setattr(coupled_sim, "_BATCH_FLOATS", budget)
+        draws = record_sizes(monkeypatch, "standard_normal")
+        plant, policy = system
+        cfg = CouplingConfig(
+            mode=mode, dt=0.01, horizon=10.01, e0=np.linspace(1.0, -2.0, plant.n_states),
+            u0=np.linspace(-0.5, 0.7, plant.n_inputs), seed=23, record_stride=stride,
+        )
+        traj = simulate(plant, policy, self.NOISY, cfg)
+        drawn = sum(draws)
+        samples, diverged, expected = stepwise_reference(plant, policy, self.NOISY, cfg)
+        assert traj.diverged == diverged
+        assert drawn == expected
+        joint = np.hstack([traj.states, traj.actions])
+        assert joint.shape == samples.shape
+        scale = np.abs(samples).max()
+        np.testing.assert_allclose(joint, samples, rtol=1e-9, atol=1e-12 * scale)
+
+    def test_divergence_mid_block_stops_at_same_sample(self, monkeypatch):
+        draws = record_sizes(monkeypatch, "standard_normal")
+        peeked = record_sizes(monkeypatch, "peek")
+        weak = ExpertPolicy(K=3.0, Sigma=[[1.0]])  # K' = 1 < A = 2
+        cfg = config("per-step", dt=1e-2, horizon=60.0, record_stride=7, seed=4)
+        traj = simulate(DEMO_PLANT, weak, self.NOISY, cfg)
+        drawn = sum(draws)
+        samples, diverged, expected = stepwise_reference(DEMO_PLANT, weak, self.NOISY, cfg)
+        assert traj.diverged and diverged
+        assert sum(peeked) > drawn  # the last block read past the diverged sample
+        assert len(traj) == len(samples)
+        assert drawn == expected == int(round(traj.times[-1] / cfg.dt))
+        joint = np.hstack([traj.states, traj.actions])
+        np.testing.assert_allclose(joint, samples, rtol=1e-9, atol=1e-12 * np.abs(samples).max())
+
+
+class TestHugeStates:
+    """Norms past ~1.34e154 overflow when squared; divergence must still be
+    judged against the bound, and fits must still see finite norms."""
+
+    WEAK = ExpertPolicy(K=3.0, Sigma=[[1.0]])  # K' = 1 < A = 2
+
+    def test_deterministic_run_diverges_at_its_bound(self):
+        cfg = config("per-step", dt=1e-2, horizon=60.0, e0=[1e150])
+        traj = simulate(DEMO_PLANT, self.WEAK, DET_DIFFUSION, cfg)
+        past = past_bound(traj)
+        assert traj.diverged and past[-1] and not past[:-1].any()
+
+    @pytest.mark.parametrize("path", ["block", "stepwise"])
+    def test_stochastic_run_diverges_at_its_bound(self, monkeypatch, path):
+        if path == "stepwise":  # no power passes the cap, so every row steps
+            monkeypatch.setattr(coupled_sim, "_POWER_CAP", 0.0)
+        noisy = DiffusionParams(g=1.0, alpha=1.0, stochastic=True)
+        cfg = config("per-step", dt=1e-2, horizon=60.0, e0=[1e150], seed=4)
+        traj = simulate(DEMO_PLANT, self.WEAK, noisy, cfg)
+        past = past_bound(traj)
+        assert traj.diverged and past[-1] and not past[:-1].any()
+
+    def test_bound_of_huge_start_is_finite(self):
+        cfg = config("per-step", dt=1e-2, horizon=60.0, e0=[1e160])
+        traj = simulate(DEMO_PLANT, self.WEAK, DET_DIFFUSION, cfg)
+        past = past_bound(traj)
+        assert traj.diverged and past[-1] and not past[:-1].any()
+        assert np.abs(traj.states).max() < 1e200
+
+    def test_huge_stable_run_is_classified_stable(self):
+        cfg = config("expert-oracle", dt=1e-2, horizon=1.0, e0=[1e160])
+        traj = simulate(DEMO_PLANT, DEMO_POLICY, DET_DIFFUSION, cfg)
+        norms = traj.joint_norms()
+        assert not traj.diverged and np.isfinite(norms).all()
+        np.testing.assert_allclose(norms, np.hypot(traj.states[:, 0], traj.actions[:, 0]),
+                                   rtol=1e-15)
+        verdict = classify_empirical(traj)
+        assert verdict.label == "stable"
+        assert verdict.rate == pytest.approx(math.log(1.0 - cfg.dt) / cfg.dt, rel=1e-9)
+
+
 class TestSimulateScalarGrid:
     def test_rows_match_single_runs(self, monkeypatch):
         # a small budget splits the rows over several batches; K' = 400

@@ -47,6 +47,16 @@ class TestRngStream:
         assert base.spawn(0b1010).seed == 0b0110
 
 
+    def test_peek_does_not_advance(self):
+        stream = RngStream(9)
+        stream.standard_normal(3)
+        first = stream.peek(10)
+        np.testing.assert_array_equal(stream.peek(10), first)
+        np.testing.assert_array_equal(stream.peek(4), first[:4])
+        np.testing.assert_array_equal(stream.standard_normal(10), first)
+        np.testing.assert_array_equal(RngStream(9).standard_normal(13)[3:], first)
+
+
 class TestScore:
     def test_vanishes_at_expert_action(self):
         policy = ExpertPolicy(K=RNG.normal(size=(2, 3)), Sigma=np.eye(2) * 0.3)
