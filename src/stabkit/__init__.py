@@ -35,7 +35,6 @@ from .stability_analyzer import (
     AxisSpec,
     EffectiveGain,
     StabilityVerdict,
-    SweepCell,
     SweepGrid,
     analytic_1d,
     analytic_ndim,
@@ -61,7 +60,6 @@ __all__ = [
     "QualityReport",
     "RngStream",
     "StabilityVerdict",
-    "SweepCell",
     "SweepGrid",
     "Trajectory",
     "analytic_1d",

@@ -84,6 +84,18 @@ def _check_section_keys(doc: dict, section: str, violations: list[str]):
             violations.append(f"{section}: unknown key {key!r}")
 
 
+def _whole(doc: dict, key: str, default: int) -> int:
+    """``doc[key]`` (or ``default``) as an int; refused unless it is a JSON
+    number with a whole value. ``int()`` would truncate 2.7 and accept
+    ``true``."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ParameterError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _parse_plant(doc, violations: list[str]) -> PlantModel | None:
     _check_section_keys(doc, "plant", violations)
     if "A" not in doc or "B" not in doc:
@@ -125,12 +137,15 @@ def _parse_policy(doc, violations: list[str]) -> ExpertPolicy | None:
 def _parse_diffusion(doc, violations: list[str]) -> DiffusionParams | None:
     _check_section_keys(doc, "diffusion", violations)
     try:
+        stochastic = doc.get("stochastic", False)
+        if not isinstance(stochastic, bool):
+            raise ParameterError(f"stochastic must be true or false, got {stochastic!r}")
         return DiffusionParams(
             g=float(doc.get("g", 1.0)),
             alpha=float(doc.get("alpha", 1.0)),
             drift=doc.get("drift"),
-            stochastic=bool(doc.get("stochastic", False)),
-            inner_steps=int(doc.get("inner_steps", 25)),
+            stochastic=stochastic,
+            inner_steps=_whole(doc, "inner_steps", 25),
         )
     except (StabkitError, TypeError, ValueError) as exc:
         violations.append(f"diffusion: {exc}")
@@ -154,8 +169,8 @@ def _parse_coupling(doc, n_inputs: int | None, violations: list[str]) -> Couplin
             horizon=float(doc["horizon"]),
             e0=doc["e0"],
             u0=u0,
-            seed=int(doc.get("seed", 0)),
-            record_stride=int(doc.get("record_stride", 1)),
+            seed=_whole(doc, "seed", 0),
+            record_stride=_whole(doc, "record_stride", 1),
             dt_inner=None if doc.get("dt_inner") is None else float(doc["dt_inner"]),
         )
     except (StabkitError, TypeError, ValueError) as exc:
@@ -173,26 +188,32 @@ def parse_run_config(document: dict, require: tuple[str, ...]) -> RunConfig:
         raise ConfigError(["config root must be a JSON object"])
     violations: list[str] = []
     effective = json.loads(json.dumps(document))  # deep copy
-    for section in effective:
+    sections = {}  # the sections that are JSON objects
+    for section, doc in effective.items():
         if section not in _SECTION_KEYS:
             violations.append(f"unknown config section {section!r}")
+        elif isinstance(doc, dict):
+            sections[section] = doc
+        else:
+            violations.append(f"{section}: must be a JSON object")
 
     env_seed = os.environ.get("STAB_SEED")
-    if env_seed is not None and "coupling" in effective:
+    if env_seed is not None and "coupling" in sections:
         try:
-            effective["coupling"]["seed"] = int(env_seed)
-        except (TypeError, ValueError):
+            sections["coupling"]["seed"] = int(env_seed)
+        except ValueError:
             violations.append(f"STAB_SEED must be an integer, got {env_seed!r}")
 
     plant = policy = diffusion = coupling = None
-    if "plant" in effective:
-        plant = _parse_plant(effective["plant"], violations)
-    if "policy" in effective:
-        policy = _parse_policy(effective["policy"], violations)
-    diffusion = _parse_diffusion(effective.get("diffusion", {}), violations)
-    if "coupling" in effective:
+    if "plant" in sections:
+        plant = _parse_plant(sections["plant"], violations)
+    if "policy" in sections:
+        policy = _parse_policy(sections["policy"], violations)
+    if "diffusion" in sections or "diffusion" not in effective:
+        diffusion = _parse_diffusion(sections.get("diffusion", {}), violations)
+    if "coupling" in sections:
         coupling = _parse_coupling(
-            effective["coupling"], plant.n_inputs if plant else None, violations
+            sections["coupling"], plant.n_inputs if plant else None, violations
         )
 
     present = {
@@ -215,7 +236,7 @@ def parse_run_config(document: dict, require: tuple[str, ...]) -> RunConfig:
         policy=policy,
         diffusion=diffusion,
         coupling=coupling,
-        output=effective.get("output", {}) or {},
+        output=sections.get("output", {}),
         effective=effective,
     )
 
@@ -397,7 +418,10 @@ def cmd_phase_plane(args) -> int:
             token = token.strip()
             if not token:
                 continue
-            value = float(token)
+            try:
+                value = float(token)
+            except ValueError as exc:
+                raise ParameterError(f"bad --kprime value {token!r}: {exc}") from exc
             if not (value > 0.0):
                 raise ParameterError(f"kprime values must be > 0, got {value}")
             kprimes.append(value)

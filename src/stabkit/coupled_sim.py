@@ -181,7 +181,7 @@ def simulate(
     """
     step_mat, step_off, noise = _compile(plant, policy, diffusion, config)
     return next(_rollout(step_mat[None], step_off[None], None if noise is None else noise[None],
-                         [config], *_start(config)))
+                         config))
 
 
 def simulate_scalar_grid(a, b, k, variance, g, alpha, config: CouplingConfig) -> Iterator[Trajectory]:
@@ -208,8 +208,7 @@ def simulate_scalar_grid(a, b, k, variance, g, alpha, config: CouplingConfig) ->
     rows = max(1, -(-_BATCH_FLOATS // row_floats))
     for first in range(0, step_mat.shape[0], rows):
         maps = step_mat[first : first + rows]
-        yield from _rollout(maps, step_off[first : first + rows], None, [config] * len(maps),
-                            *_start(config))
+        yield from _rollout(maps, step_off[first : first + rows], None, config)
 
 
 def _start(config: CouplingConfig) -> tuple[np.ndarray, float]:
@@ -295,13 +294,12 @@ def _step_maps(
     return step_mat, step_off, np.concatenate([through_new @ w_mat, w_mat], axis=1)
 
 
-def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajectory]:
+def _rollout(step_mat, step_off, noise, config: CouplingConfig) -> Iterator[Trajectory]:
     """Roll out a batch of compiled runs of one shape; yield trajectories.
 
-    Row r is the map (step_mat[r], step_off[r], noise[r]) started from the
-    homogeneous row z0[r] = (e0, u0, 1) with blow-up bound blow[r];
-    ``configs[r]`` gives its step count, stride, dt and seed. z0 and blow may
-    be one row and one bound shared by all runs.
+    Row r is the map (step_mat[r], step_off[r], noise[r]); every row starts
+    from ``config``'s (e0, u0) and takes its step count, stride and dt. A
+    noisy batch is one run, which draws from the stream of ``config.seed``.
 
     The maps act on homogeneous rows (z, 1), so z M^T + c is one matmul by
     H. Rows advance a block of up to ``_BLOCK`` recorded samples per batched
@@ -326,20 +324,19 @@ def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajector
     time, in chunks of plant steps, drawing each chunk's noise just before it.
     """
     count, dim = step_mat.shape[:2]
-    steps, stride, n = configs[0].n_steps, configs[0].record_stride, configs[0].e0.shape[0]
+    steps, stride, n = config.n_steps, config.record_stride, config.e0.shape[0]
     width = 0 if noise is None else noise.shape[2]
+    z0, blow = _start(config)
     hom = np.zeros((count, dim + 1, dim + 1))
     hom[:, dim, dim] = 1.0
     hom[:, :dim, :dim], hom[:, dim, :dim] = step_mat.transpose(0, 2, 1), step_off
-    z0 = np.broadcast_to(z0, (count, dim + 1))
-    blow = np.broadcast_to(blow, (count,))
     full, rem = divmod(steps, stride)
     ks = np.concatenate([[0.0], np.arange(stride, steps + 1, stride), [steps] if rem else []])
     records = np.empty((count, ks.size, dim + 1))
     records[:, 0] = z0
     counts = np.full(count, ks.size)
     diverged = np.zeros(count, dtype=bool)
-    rngs = [RngStream(config.seed) for config in configs] if width else []
+    rng = RngStream(config.seed) if width else None
 
     def keep(rows, block, first):
         """Stop each row whose samples (block[i] is record first + i) blow
@@ -347,7 +344,7 @@ def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajector
         e_norm = _rescale_overflow(np.sqrt(np.sum(block[..., :n] ** 2, axis=-1)), block[..., :n])
         u_norm = _rescale_overflow(np.sqrt(np.sum(block[..., n:dim] ** 2, axis=-1)),
                                    block[..., n:dim])
-        bad = ~np.isfinite(block).all(axis=-1) | (np.maximum(e_norm, u_norm) > blow[rows, None])
+        bad = ~np.isfinite(block).all(axis=-1) | (np.maximum(e_norm, u_norm) > blow)
         hit = bad.any(axis=1)
         counts[rows[hit]] = first + 1 + bad[hit].argmax(axis=1)
         diverged[rows[hit]] = True
@@ -362,10 +359,10 @@ def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajector
         reach = span
         if width:
             # The kicks of up to one sample's steps, and a block's draws, fit
-            # the budget; a row whose sample needs more kicks goes stepwise.
-            reach = max(1, min(span, _BATCH_FLOATS // (count * width * (dim + 1))))
+            # the budget; a run whose sample needs more kicks goes stepwise.
+            reach = max(1, min(span, _BATCH_FLOATS // (width * (dim + 1))))
             kicks = _kicks(hom, noise, reach)
-            usable = np.minimum(usable, _BATCH_FLOATS // (count * span * width))
+            usable = np.minimum(usable, _BATCH_FLOATS // (span * width))
             stepwise |= (reach < span) | ~(np.abs(kicks) <= _POWER_CAP).all(axis=(1, 2))
         # Rows that stopped or run stepwise are carried as zeros.
         live = ~stepwise
@@ -380,9 +377,7 @@ def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajector
                 # Each sample's own draws, then those of earlier samples
                 # carried forward by a doubling scan over the powers.
                 per = (span if main else rem) * width
-                xi = np.zeros((count, size, per))
-                for row in rows:
-                    xi[row] = rngs[row].peek(size * per).reshape(size, per)
+                xi = rng.peek(size * per).reshape(1, size, per)
                 kicked = np.matmul(xi, kicks[:, kicks.shape[1] - per :])
                 lag = 1
                 while lag < size:
@@ -391,9 +386,8 @@ def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajector
                 block += kicked
             records[:, 1 + done : 1 + done + size] = block
             live[rows[~keep(rows, block[rows], 1 + done)]] = False
-            if width:
-                for row in rows:  # take the draws of the samples kept
-                    rngs[row].standard_normal(min(size, counts[row] - 1 - done) * per)
+            if width:  # take the draws of the samples kept
+                rng.standard_normal(min(size, counts[0] - 1 - done) * per)
             z = np.where(live[:, None], block[:, -1], 0.0)
             done += size
 
@@ -401,33 +395,27 @@ def _rollout(step_mat, step_off, noise, configs, z0, blow) -> Iterator[Trajector
         chunk = min(reach, _BATCH_FLOATS // max(1, rows.size * (dim + 1) ** 2))
         powers = _power_table(hom[rows], chunk)
         chunk = max(1, int(_leading_capped(powers).min(initial=chunk)))
-        if width:
-            # Over a chunk of c steps: z <- z H^c + sum_i xi_i G^T H^(c-1-i).
-            kicks = kicks[rows]
-            streams = [rngs[r] for r in rows]
-        z = z0[rows, None]
+        z = np.tile(z0, (rows.size, 1, 1))
         for record in range(1, ks.size if rows.size else 1):
             left = stride if record <= full else rem
             while left:
                 size = min(left, chunk)
                 z = np.matmul(z, powers[:, size - 1])
                 if width:
-                    draws = np.array([rng.standard_normal(size * width) for rng in streams])
-                    z += np.matmul(draws[:, None], kicks[:, kicks.shape[1] - size * width :])
+                    # Over a chunk of c steps: z <- z H^c + sum_i xi_i G^T H^(c-1-i).
+                    draws = rng.standard_normal(size * width).reshape(1, 1, -1)
+                    z += np.matmul(draws, kicks[:, kicks.shape[1] - size * width :])
                 left -= size
             records[rows, record] = z[:, 0]
-            # One sum of squares below the smallest bound clears every row; a
-            # sum that overflows goes to the per-row check.
-            if not np.vdot(z, z) < blow[rows].min() ** 2:
+            # One sum of squares below the bound clears every row; a sum that
+            # overflows goes to the per-row check.
+            if not np.vdot(z, z) < blow * blow:
                 running = keep(rows, z, record)
                 rows, z, powers = rows[running], z[running], powers[running]
-                if width:
-                    kicks = kicks[running]
-                    streams = [rng for rng, go in zip(streams, running) if go]
                 if not rows.size:
                     break
 
-    for row, config in enumerate(configs):
+    for row in range(count):
         kept = counts[row]
         yield Trajectory(ks[:kept] * config.dt, records[row, :kept, :n].copy(),
                          records[row, :kept, n:dim].copy(), config, bool(diverged[row]))

@@ -61,8 +61,7 @@ class RngStream:
 
     Identical seeds yield bit-identical sample sequences. One stream per
     trajectory; never share a stream between concurrent workers.
-    ``spawn(index)`` derives a stream whose seed XORs the index into this
-    one's. ``peek(size)`` returns the draws ``standard_normal(size)`` would
+    ``peek(size)`` returns the draws ``standard_normal(size)`` would
     return next, without taking them.
     """
 
@@ -81,9 +80,6 @@ class RngStream:
             self._shadow = np.random.Generator(np.random.PCG64(0))
         self._shadow.bit_generator.state = self._gen.bit_generator.state
         return self._shadow.standard_normal(size)
-
-    def spawn(self, index: int) -> "RngStream":
-        return RngStream(self.seed ^ (int(index) & _SEED_MASK))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed})"

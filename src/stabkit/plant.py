@@ -51,12 +51,6 @@ class PlantModel:
     def n_inputs(self) -> int:
         return self.B.shape[1]
 
-    def error_from_state(self, x) -> np.ndarray:
-        return matrixkit.as_vector(x, "state") - self.setpoint
-
-    def state_from_error(self, e) -> np.ndarray:
-        return matrixkit.as_vector(e, "error state") + self.setpoint
-
 
 @dataclass(frozen=True)
 class ExpertPolicy:

@@ -19,7 +19,6 @@ never claimed on this path.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -29,7 +28,6 @@ from . import matrixkit
 from .coupled_sim import (
     CouplingConfig,
     CouplingMode,
-    EmpiricalVerdict,
     classify_empirical,
     simulate_scalar_grid,
 )
@@ -359,18 +357,6 @@ class AxisSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid cell: axis values, the analytic verdict and (optionally) the
-    empirical verdict of a deterministic per-step simulation."""
-
-    index: int
-    axis1_value: float
-    axis2_value: float
-    analytic: StabilityVerdict
-    empirical: EmpiricalVerdict | None = None
-
-
 DEFAULT_SWEEP_SIM = CouplingConfig(
     mode=CouplingMode.PER_STEP,
     dt=1e-3,
@@ -395,13 +381,12 @@ def _validate_axes(axis1: AxisSpec, axis2: AxisSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class SweepGrid(Sequence):
+class SweepGrid:
     """A swept grid as columns, one entry per cell, row-major over
     (axis1, axis2): the axis values, the analytic verdicts and, for an
     empirical sweep, the empirical labels, rates and fit residuals.
-
-    It is also a sequence of :class:`SweepCell`, each built when it is read,
-    and equals any sequence of equal cells, as the list it replaces did.
+    ``analytic.verdict(i)`` is cell i's verdict as :func:`analytic_1d`
+    returns it.
     """
 
     shape: tuple[int, int]
@@ -415,41 +400,23 @@ class SweepGrid(Sequence):
     def __len__(self) -> int:
         return self.axis1.shape[0]
 
-    def __getitem__(self, index):
-        picked = range(len(self))[index]
-        if isinstance(picked, range):
-            return [self._cell(i) for i in picked]
-        return self._cell(picked)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def _cell(self, index: int) -> SweepCell:
-        empirical = None
-        if self.empirical_label is not None:
-            empirical = EmpiricalVerdict(
-                rate=float(self.empirical_rate[index]),
-                label=str(self.empirical_label[index]),
-                residual=float(self.empirical_residual[index]),
-            )
-        return SweepCell(
-            index,
-            float(self.axis1[index]),
-            float(self.axis2[index]),
-            self.analytic.verdict(index),
-            empirical,
-        )
-
     def stable(self) -> np.ndarray:
         """Whether each cell's analytic label is "stable", as an
         axis1 x axis2 array."""
         return (self.analytic.label == "stable").reshape(self.shape)
 
     def boundary_points(self) -> list[tuple[float, float]]:
-        """:func:`stable_boundary_points` of the grid."""
-        return _boundary_points(self.axis1, self.axis2, self.stable())
+        """The first stable/not crossing along axis2 of each axis1 row, as
+        (axis1 value, midpoint of the two axis2 values). Used for the
+        region-map overlay."""
+        stable = self.stable()
+        axis1, axis2 = self.axis1.reshape(self.shape), self.axis2.reshape(self.shape)
+        flips = stable[:, 1:] != stable[:, :-1]
+        hit = np.flatnonzero(flips.any(axis=1))
+        at = flips[hit].argmax(axis=1)
+        xs = axis1[hit, at]
+        ys = 0.5 * (axis2[hit, at] + axis2[hit, at + 1])
+        return list(zip(xs.tolist(), ys.tolist()))
 
 
 def sweep_region(
@@ -537,29 +504,3 @@ def _evaluate_cell(params: dict, empirical: bool):
         PlantModel(A=[[params["A"]]], B=[[params["B"]]], setpoint=[0.0])
         ExpertPolicy(K=[[params["K"]]], Sigma=[[params["sigma"] ** 2]])
         DiffusionParams(g=params["g"], alpha=params["alpha"])
-
-
-def stable_boundary_points(
-    cells: Sequence[SweepCell], steps1: int, steps2: int
-) -> list[tuple[float, float]]:
-    """Midpoints along axis2 where the analytic label crosses stable/not,
-    one scan per axis1 row. Used for the region-map overlay."""
-    cells = cells[: steps1 * steps2]
-    return _boundary_points(
-        np.array([cell.axis1_value for cell in cells]),
-        np.array([cell.axis2_value for cell in cells]),
-        np.array([cell.analytic.label == "stable" for cell in cells]).reshape(steps1, steps2),
-    )
-
-
-def _boundary_points(axis1, axis2, stable: np.ndarray) -> list[tuple[float, float]]:
-    """The first stable/not crossing of each row of a row-major grid, as
-    (axis1 value, midpoint of the two axis2 values)."""
-    rows = stable.shape[0]
-    axis1, axis2 = axis1.reshape(rows, -1), axis2.reshape(rows, -1)
-    flips = stable[:, 1:] != stable[:, :-1]
-    hit = np.flatnonzero(flips.any(axis=1))
-    at = flips[hit].argmax(axis=1)
-    xs = axis1[hit, at]
-    ys = 0.5 * (axis2[hit, at] + axis2[hit, at + 1])
-    return list(zip(xs.tolist(), ys.tolist()))

@@ -311,6 +311,70 @@ class TestPhasePlane:
         assert "scalar plant" in capsys.readouterr().err
 
 
+class TestKprimeFlag:
+    def test_non_numeric_kprime_is_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_DOC)
+        out = str(tmp_path / "p.csv")
+        assert cli.main(["phase-plane", "-c", cfg, "--kprime", "1,abc", "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --kprime value 'abc'") and err.count("\n") == 1
+        assert not (tmp_path / "p.csv").exists()
+
+
+class TestConfigTypes:
+    """A config value of the wrong JSON type is refused with one ``error:``
+    line (exit 2): never a traceback, a misleading message or a silent
+    conversion."""
+
+    @staticmethod
+    def simulate(tmp_path, capsys, doc):
+        # no -o: the trajectory path comes from the config's output section
+        code = cli.main(["simulate", "-c", write_config(tmp_path, doc)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [("plant", None), ("plant", 5), ("policy", "abc"), ("diffusion", None),
+         ("coupling", None), ("output", [1]), ("output", "x.csv")],
+    )
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, section, value):
+        doc = dict(json.loads(json.dumps(BASE_DOC)), **{section: value})
+        code, err = self.simulate(tmp_path, capsys, doc)
+        assert (code, err) == (2, f"error: {section}: must be a JSON object\n")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("diffusion", "stochastic", "false"), ("diffusion", "stochastic", 0),
+         ("diffusion", "inner_steps", 2.7), ("diffusion", "inner_steps", True),
+         ("coupling", "record_stride", 1.9), ("coupling", "record_stride", "2"),
+         ("coupling", "seed", 1.5), ("coupling", "seed", False)],
+    )
+    def test_bad_flag_or_count_is_refused(self, tmp_path, capsys, monkeypatch, section, key,
+                                          value):
+        monkeypatch.delenv("STAB_SEED", raising=False)
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[section][key] = value
+        doc["output"] = {"trajectory": str(tmp_path / "t.csv")}
+        code, err = self.simulate(tmp_path, capsys, doc)
+        kind = "true or false" if key == "stochastic" else "a whole number"
+        assert (code, err) == (2, f"error: {section}: {key} must be {kind}, got {value!r}\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_whole_float_counts_are_accepted(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("STAB_SEED", raising=False)
+        outputs = []
+        for stride, seed in ((7, 11), (7.0, 11.0)):
+            doc = json.loads(json.dumps(BASE_DOC))
+            doc["diffusion"]["stochastic"] = True
+            doc["coupling"].update(record_stride=stride, seed=seed, horizon=1.0)
+            out = tmp_path / f"{stride!r}.csv"
+            doc["output"] = {"trajectory": str(out)}
+            code, err = self.simulate(tmp_path, capsys, doc)
+            assert (code, err) == (0, "")
+            outputs.append(out.read_text().split("\n", 1)[1])
+        assert outputs[0] == outputs[1]
+
+
 class TestDatasetCheck:
     PLANT_DOC = {
         "plant": {"A": 4.0, "B": 1.0},

@@ -42,10 +42,6 @@ class TestRngStream:
             RngStream(1).standard_normal(8), RngStream(2).standard_normal(8)
         )
 
-    def test_spawn_xors_seed(self):
-        base = RngStream(0b1100)
-        assert base.spawn(0b1010).seed == 0b0110
-
 
     def test_peek_does_not_advance(self):
         stream = RngStream(9)

@@ -26,11 +26,6 @@ class TestPlantModel:
         with pytest.raises(DimensionError):
             PlantModel(A=np.eye(2), B=np.eye(2), setpoint=np.zeros(3))
 
-    def test_setpoint_round_trip(self):
-        plant = PlantModel(A=np.eye(2), B=np.eye(2), setpoint=[1.0, -2.0])
-        x = np.array([3.0, 4.0])
-        assert np.allclose(plant.state_from_error(plant.error_from_state(x)), x)
-
 
 class TestExpertPolicy:
     def test_rejects_indefinite_sigma(self):

@@ -22,7 +22,7 @@ from stabkit import coupled_sim, stability_analyzer
 from stabkit.errors import DimensionError, NonFiniteError, ParameterError, SingularMatrixError
 from stabkit.errors import StabkitError
 from stabkit.matrixkit import eig_2x2, eig_sym, symmetric_part
-from stabkit.stability_analyzer import EffectiveGain, stable_boundary_points
+from stabkit.stability_analyzer import EffectiveGain
 
 RNG = np.random.default_rng(555)
 
@@ -313,35 +313,36 @@ class TestSweepRegion:
     BASE = {"A": 2.0, "B": 1.0, "K": 3.0, "sigma": 0.5, "g": 1.0, "alpha": 1.0}
 
     def test_single_cell_reduces_to_analytic(self):
-        cells = sweep_region(
+        grid = sweep_region(
             self.BASE,
             AxisSpec("A", 2.0, 2.0, 1),
             AxisSpec("kprime", 3.0, 3.0, 1),
         )
-        assert len(cells) == 1
+        assert len(grid) == 1
         direct = analytic_1d(2.0, 1.0, 3.0, math.sqrt(1.0 / 3.0), 1.0, 1.0)
-        assert cells[0].analytic.label == direct.label
-        assert cells[0].analytic.margins["kprime"] == pytest.approx(
+        assert grid.analytic.label[0] == direct.label
+        assert grid.analytic.margins["kprime"][0] == pytest.approx(
             direct.margins["kprime"], abs=1e-12
         )
 
     def test_boundary_is_gain_equals_response(self):
         # A - BK = -1 held fixed by sweeping (A, kprime) with K = A + 1
-        cells = []
-        for i, a in enumerate(np.linspace(0.5, 4.0, 8)):
+        checked = 0
+        for a in np.linspace(0.5, 4.0, 8):
             base = dict(self.BASE, A=float(a), K=float(a) + 1.0)
-            cells.extend(
-                sweep_region(
-                    base,
-                    AxisSpec("A", float(a), float(a), 1),
-                    AxisSpec("kprime", 0.1, 6.0, 24),
-                )
+            grid = sweep_region(
+                base,
+                AxisSpec("A", float(a), float(a), 1),
+                AxisSpec("kprime", 0.1, 6.0, 24),
             )
-        for cell in cells:
-            if abs(cell.axis2_value - cell.axis1_value) < 0.05:
-                continue
-            expected = "stable" if cell.axis2_value > cell.axis1_value else "unstable"
-            assert cell.analytic.label == expected
+            for a_value, kprime, label in zip(
+                grid.axis1.tolist(), grid.axis2.tolist(), grid.analytic.label.tolist()
+            ):
+                if abs(kprime - a_value) < 0.05:
+                    continue
+                assert label == ("stable" if kprime > a_value else "unstable")
+                checked += 1
+        assert checked > 150
 
     def test_empirical_agreement_off_boundary_band(self):
         sim = CouplingConfig(
@@ -350,18 +351,20 @@ class TestSweepRegion:
         agree = total = 0
         for a in np.linspace(0.5, 4.0, 6):
             base = dict(self.BASE, A=float(a), K=float(a) + 1.0)
-            cells = sweep_region(
+            grid = sweep_region(
                 base,
                 AxisSpec("B", 1.0, 1.0, 1),
                 AxisSpec("kprime", 0.3, 6.0, 12),
                 empirical=True,
                 sim_config=sim,
             )
-            for cell in cells:
-                if abs(cell.axis2_value - a) < 0.1:
+            for kprime, analytic, empirical in zip(
+                grid.axis2.tolist(), grid.analytic.label.tolist(), grid.empirical_label.tolist()
+            ):
+                if abs(kprime - a) < 0.1:
                     continue
                 total += 1
-                agree += cell.analytic.label == cell.empirical.label
+                agree += analytic == empirical
         assert total > 40
         assert agree / total >= 0.98
 
@@ -376,34 +379,36 @@ class TestSweepRegion:
             record_stride=4,
         )
         axis1, axis2 = AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6)
-        cells = sweep_region(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
+        grid = sweep_region(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
         rates = []
-        for cell in cells:
-            sigma = math.sqrt(1.0 / cell.axis2_value)  # g = alpha = 1
+        for index, (a_value, kprime) in enumerate(zip(grid.axis1.tolist(), grid.axis2.tolist())):
+            sigma = math.sqrt(1.0 / kprime)  # g = alpha = 1
             trajectory = simulate(
-                PlantModel(A=[[cell.axis1_value]], B=[[1.0]], setpoint=[0.0]),
+                PlantModel(A=[[a_value]], B=[[1.0]], setpoint=[0.0]),
                 ExpertPolicy(K=[[3.0]], Sigma=[[sigma**2]]),
                 DiffusionParams(g=1.0, alpha=1.0),
                 CouplingConfig(
                     mode="per-step", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0],
-                    seed=5 ^ cell.index, record_stride=4,
+                    seed=5 ^ index, record_stride=4,
                 ),
             )
             expected = classify_empirical(trajectory)
-            assert cell.empirical.label == expected.label
-            assert cell.empirical.rate == pytest.approx(expected.rate, rel=1e-9)
+            assert grid.empirical_label[index] == expected.label
+            assert grid.empirical_rate[index] == pytest.approx(expected.rate, rel=1e-9)
             rates.append(expected.rate)
+        assert len(rates) == 36
         assert math.inf in rates
         assert any(math.isfinite(rate) for rate in rates)
 
     def test_row_major_order_and_seed_independence(self):
-        cells = sweep_region(
+        grid = sweep_region(
             self.BASE,
             AxisSpec("A", 1.0, 2.0, 2),
             AxisSpec("kprime", 1.0, 3.0, 3),
         )
-        assert [c.index for c in cells] == list(range(6))
-        assert [round(c.axis1_value, 6) for c in cells] == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+        assert grid.shape == (2, 3) and len(grid) == 6
+        assert [round(v, 6) for v in grid.axis1.tolist()] == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+        assert [round(v, 6) for v in grid.axis2.tolist()] == [1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
 
     def test_axis_validation(self):
         with pytest.raises(ParameterError):
@@ -422,19 +427,15 @@ class TestSweepRegion:
             )
 
     def test_boundary_points_near_diagonal(self):
-        cells = []
-        a_values = np.linspace(0.5, 4.0, 8)
-        for a in a_values:
+        # one 1 x 32 grid per A: each has its one transition near K' = A
+        points = []
+        for a in np.linspace(0.5, 4.0, 8):
             base = dict(self.BASE, A=float(a), K=float(a) + 1.0)
-            cells.extend(
-                sweep_region(
-                    base,
-                    AxisSpec("A", float(a), float(a), 1),
-                    AxisSpec("kprime", 0.1, 6.0, 32),
-                )
-            )
-        points = stable_boundary_points(cells, 8, 32)
-        # rebuild with global axis1 ordering: one transition per row near K'=A
+            points += sweep_region(
+                base,
+                AxisSpec("A", float(a), float(a), 1),
+                AxisSpec("kprime", 0.1, 6.0, 32),
+            ).boundary_points()
         assert len(points) >= 6
         for x, y in points:
             assert abs(y - x) < 0.25
@@ -589,17 +590,18 @@ class TestGridVerdictParity:
         grid = sweep_region(base, axis1, axis2)
         values = _grid_values(axis1, axis2)
         assert len(grid) == len(values)
+        assert grid.empirical_label is None
         labels = set()
-        for index, (cell, (v1, v2)) in enumerate(zip(grid, values)):
+        for index, (v1, v2) in enumerate(values):
             expected = analytic_1d(**_cell_params(base, axis1, axis2, v1, v2))
-            assert (cell.index, cell.axis1_value, cell.axis2_value) == (index, v1, v2)
-            assert cell.analytic.label == expected.label
-            assert cell.analytic.margins == expected.margins
-            assert list(cell.analytic.margins) == list(expected.margins)
-            assert cell.analytic.conditions == expected.conditions
-            assert cell.analytic.notes == expected.notes
-            assert cell.analytic.min_margin == expected.min_margin
-            assert cell.empirical is None
+            verdict = grid.analytic.verdict(index)
+            assert (grid.axis1[index], grid.axis2[index]) == (v1, v2)
+            assert grid.analytic.label[index] == verdict.label == expected.label
+            assert verdict.margins == expected.margins
+            assert list(verdict.margins) == list(expected.margins)
+            assert verdict.conditions == expected.conditions
+            assert verdict.notes == expected.notes
+            assert grid.analytic.min_margin[index] == verdict.min_margin == expected.min_margin
             labels.add(expected.label)
         if axis1.steps * axis2.steps > 20:
             assert "marginal" in labels or "unstable" in labels
@@ -615,42 +617,35 @@ class TestGridVerdictParity:
         assert labels == {"stable", "marginal", "unstable"}
         assert signs == {-1.0, 0.0, 1.0}
 
-    def test_grid_equals_sequences_of_its_cells(self):
-        axis1, axis2 = AxisSpec("A", -0.5, 3.0, 4), AxisSpec("K", 0.5, 6.0, 5)
-        grid = sweep_region(self.BASE, axis1, axis2)
-        assert grid == sweep_region(self.BASE, axis1, axis2)
-        assert grid == list(grid) and list(grid) == grid and grid == tuple(grid)
-        assert grid != list(grid)[:-1]
-        assert grid != sweep_region(self.BASE, axis1, AxisSpec("K", 0.5, 6.5, 5))
-        assert grid != "not a grid"
-
     def test_columns_and_sequence_protocol(self):
         axis1, axis2 = AxisSpec("A", -0.5, 3.0, 4), AxisSpec("kprime", 0.5, 6.0, 5)
         grid = sweep_region(self.BASE, axis1, axis2)
-        cells = list(grid)
-        assert grid.shape == (4, 5)
-        assert grid.axis1.tolist() == [c.axis1_value for c in cells]
-        assert grid.axis2.tolist() == [c.axis2_value for c in cells]
-        assert grid.analytic.label.tolist() == [c.analytic.label for c in cells]
-        assert grid.analytic.min_margin.tolist() == [c.analytic.min_margin for c in cells]
+        verdicts = [grid.analytic.verdict(i) for i in range(len(grid))]
+        values = _grid_values(axis1, axis2)
+        assert grid.shape == (4, 5) and len(grid) == 20
+        assert grid.axis1.tolist() == [v1 for v1, _ in values]
+        assert grid.axis2.tolist() == [v2 for _, v2 in values]
+        assert grid.analytic.label.tolist() == [v.label for v in verdicts]
+        assert grid.analytic.min_margin.tolist() == [v.min_margin for v in verdicts]
         assert grid.analytic.margins["kprime"].tolist() == [
-            c.analytic.margins["kprime"] for c in cells
+            v.margins["kprime"] for v in verdicts
         ]
         # the sigma margin column is NaN where A <= 0 (the bound is vacuous)
         assert [math.isnan(x) for x in grid.analytic.margins["sigma"].tolist()] == [
-            "sigma" not in c.analytic.margins for c in cells
+            "sigma" not in v.margins for v in verdicts
         ]
         assert grid.empirical_label is None
-        assert grid[-1] == cells[-1] and grid[3] == cells[3]
-        assert grid[2:7] == cells[2:7] and grid[::-3] == cells[::-3]
-        with pytest.raises(IndexError):
-            grid[len(grid)]
-        assert stable_boundary_points(cells, 4, 5) == grid.boundary_points()
-        assert grid.boundary_points()
-        assert grid.stable().tolist() == [
-            [cell.analytic.label == "stable" for cell in cells[i * 5 : (i + 1) * 5]]
-            for i in range(4)
-        ]
+        stable = [[v.label == "stable" for v in verdicts[i * 5 : (i + 1) * 5]] for i in range(4)]
+        assert grid.stable().tolist() == stable
+        # the first crossing of each row, at the midpoint of its two axis2 values
+        expected = []
+        for i, row in enumerate(stable):
+            flips = [j for j in range(4) if row[j] != row[j + 1]]
+            if flips:
+                v1, v2 = values[i * 5 + flips[0]]
+                expected.append((v1, 0.5 * (v2 + values[i * 5 + flips[0] + 1][1])))
+        assert expected
+        assert grid.boundary_points() == expected
 
 
 class TestGridEmpiricalParity:
@@ -700,4 +695,4 @@ class TestGridEmpiricalParity:
         residuals = np.array([v.residual for v in expected])
         np.testing.assert_allclose(grid.empirical_rate, rates, rtol=RATE_TOL, atol=RATE_TOL)
         np.testing.assert_allclose(grid.empirical_residual, residuals, rtol=RATE_TOL, atol=RATE_TOL)
-        assert [cell.empirical.rate for cell in grid] == grid.empirical_rate.tolist()
+        assert grid.empirical_rate.shape == grid.empirical_residual.shape == (len(grid),)
