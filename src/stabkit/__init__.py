@@ -38,6 +38,7 @@ from .stability_analyzer import (
     SweepGrid,
     analytic_1d,
     analytic_ndim,
+    analytic_verdict,
     augmented_matrix,
     classify_table_row,
     second_order_coefficients,
@@ -64,6 +65,7 @@ __all__ = [
     "Trajectory",
     "analytic_1d",
     "analytic_ndim",
+    "analytic_verdict",
     "augmented_matrix",
     "classify_empirical",
     "classify_table_row",

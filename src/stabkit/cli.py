@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _svg
+from . import _svg, matrixkit
 from .coupled_sim import (
     CouplingConfig,
     CouplingMode,
@@ -40,26 +40,51 @@ from .plant import ExpertPolicy, PlantModel
 from .stability_analyzer import (
     AxisSpec,
     StabilityVerdict,
-    analytic_1d,
-    analytic_ndim,
+    analytic_verdict,
     sweep_region,
 )
 
-_SECTION_KEYS = {
-    "plant": {"A", "B", "r"},
-    "policy": {"K", "Sigma", "sigma"},
-    "diffusion": {"g", "alpha", "drift", "stochastic", "inner_steps"},
-    "coupling": {
-        "mode",
-        "dt",
-        "horizon",
-        "e0",
-        "u0",
-        "seed",
-        "record_stride",
-        "dt_inner",
-    },
-    "output": None,  # free-form path map
+
+def _build_policy(doc: dict, built: dict) -> ExpertPolicy:
+    if ("Sigma" in doc) == ("sigma" in doc):
+        raise ParameterError("provide exactly one of 'Sigma' (matrix) or 'sigma' (scalar)")
+    if "Sigma" in doc:
+        return ExpertPolicy(K=doc["K"], Sigma=doc["Sigma"])
+    sigma = matrixkit.as_real(doc["sigma"], "sigma")  # a standard deviation: Sigma = sigma^2 I
+    if not (sigma > 0.0):
+        raise ParameterError(f"sigma must be > 0, got {sigma}")
+    k = matrixkit.as_matrix(doc["K"], "policy K")
+    return ExpertPolicy(K=k, Sigma=sigma * sigma * np.eye(k.shape[0]))
+
+
+def _build_coupling(doc: dict, built: dict) -> CouplingConfig:
+    if doc.get("u0") is None:  # at rest: one zero per plant input
+        plant = built.get("plant")
+        doc = {**doc, "u0": np.zeros(plant.n_inputs if plant else 1)}
+    return CouplingConfig(**doc)
+
+
+# section: (allowed keys, required keys, builder). A builder takes the
+# section's known keys and the sections built before it; the dataclass it
+# calls checks every value. ``output`` is a free-form path map.
+_SECTIONS = {
+    "plant": (
+        {"A", "B", "r"},
+        ("A", "B"),
+        lambda doc, built: PlantModel(A=doc["A"], B=doc["B"], setpoint=doc.get("r")),
+    ),
+    "policy": ({"K", "Sigma", "sigma"}, ("K",), _build_policy),
+    "diffusion": (
+        {"g", "alpha", "drift", "stochastic", "inner_steps"},
+        (),
+        lambda doc, built: DiffusionParams(**{"g": 1.0, "alpha": 1.0, **doc}),
+    ),
+    "coupling": (
+        {"mode", "dt", "horizon", "e0", "u0", "seed", "record_stride", "dt_inner"},
+        ("mode", "dt", "horizon", "e0"),
+        _build_coupling,
+    ),
+    "output": None,
 }
 
 
@@ -75,114 +100,12 @@ class RunConfig:
     effective: dict  # config document after seed overrides, for echoing
 
 
-def _check_section_keys(doc: dict, section: str, violations: list[str]):
-    allowed = _SECTION_KEYS[section]
-    if allowed is None:
-        return
-    for key in doc:
-        if key not in allowed:
-            violations.append(f"{section}: unknown key {key!r}")
-
-
-def _whole(doc: dict, key: str, default: int) -> int:
-    """``doc[key]`` (or ``default``) as an int; refused unless it is a JSON
-    number with a whole value. ``int()`` would truncate 2.7 and accept
-    ``true``."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ParameterError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _parse_plant(doc, violations: list[str]) -> PlantModel | None:
-    _check_section_keys(doc, "plant", violations)
-    if "A" not in doc or "B" not in doc:
-        violations.append("plant: requires keys 'A' and 'B'")
-        return None
-    try:
-        a = np.atleast_2d(np.asarray(doc["A"], dtype=float))
-        setpoint = doc.get("r", [0.0] * a.shape[0])
-        return PlantModel(A=doc["A"], B=doc["B"], setpoint=setpoint)
-    except (StabkitError, TypeError, ValueError) as exc:
-        violations.append(f"plant: {exc}")
-        return None
-
-
-def _parse_policy(doc, violations: list[str]) -> ExpertPolicy | None:
-    _check_section_keys(doc, "policy", violations)
-    if "K" not in doc:
-        violations.append("policy: requires key 'K'")
-        return None
-    if ("Sigma" in doc) == ("sigma" in doc):
-        violations.append("policy: provide exactly one of 'Sigma' (matrix) or 'sigma' (scalar)")
-        return None
-    try:
-        k = np.atleast_2d(np.asarray(doc["K"], dtype=float))
-        if "sigma" in doc:
-            sigma = float(doc["sigma"])
-            if not (sigma > 0.0):
-                violations.append(f"policy: sigma must be > 0, got {sigma}")
-                return None
-            cov = sigma * sigma * np.eye(k.shape[0])
-        else:
-            cov = doc["Sigma"]
-        return ExpertPolicy(K=doc["K"], Sigma=cov)
-    except (StabkitError, TypeError, ValueError) as exc:
-        violations.append(f"policy: {exc}")
-        return None
-
-
-def _parse_diffusion(doc, violations: list[str]) -> DiffusionParams | None:
-    _check_section_keys(doc, "diffusion", violations)
-    try:
-        stochastic = doc.get("stochastic", False)
-        if not isinstance(stochastic, bool):
-            raise ParameterError(f"stochastic must be true or false, got {stochastic!r}")
-        return DiffusionParams(
-            g=float(doc.get("g", 1.0)),
-            alpha=float(doc.get("alpha", 1.0)),
-            drift=doc.get("drift"),
-            stochastic=stochastic,
-            inner_steps=_whole(doc, "inner_steps", 25),
-        )
-    except (StabkitError, TypeError, ValueError) as exc:
-        violations.append(f"diffusion: {exc}")
-        return None
-
-
-def _parse_coupling(doc, n_inputs: int | None, violations: list[str]) -> CouplingConfig | None:
-    _check_section_keys(doc, "coupling", violations)
-    for key in ("mode", "dt", "horizon", "e0"):
-        if key not in doc:
-            violations.append(f"coupling: requires key {key!r}")
-    if any(v.startswith("coupling: requires") for v in violations):
-        return None
-    try:
-        u0 = doc.get("u0")
-        if u0 is None:
-            u0 = [0.0] * (n_inputs if n_inputs else 1)
-        return CouplingConfig(
-            mode=CouplingMode(doc["mode"]),
-            dt=float(doc["dt"]),
-            horizon=float(doc["horizon"]),
-            e0=doc["e0"],
-            u0=u0,
-            seed=_whole(doc, "seed", 0),
-            record_stride=_whole(doc, "record_stride", 1),
-            dt_inner=None if doc.get("dt_inner") is None else float(doc["dt_inner"]),
-        )
-    except (StabkitError, TypeError, ValueError) as exc:
-        violations.append(f"coupling: {exc}")
-        return None
-
-
 def parse_run_config(document: dict, require: tuple[str, ...]) -> RunConfig:
     """Build a RunConfig, reporting every violated precondition at once.
 
     The ``STAB_SEED`` environment variable, when set, overrides the coupling
-    seed before validation.
+    seed before validation. A missing ``diffusion`` section means every
+    diffusion default.
     """
     if not isinstance(document, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -190,12 +113,14 @@ def parse_run_config(document: dict, require: tuple[str, ...]) -> RunConfig:
     effective = json.loads(json.dumps(document))  # deep copy
     sections = {}  # the sections that are JSON objects
     for section, doc in effective.items():
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             violations.append(f"unknown config section {section!r}")
         elif isinstance(doc, dict):
             sections[section] = doc
         else:
             violations.append(f"{section}: must be a JSON object")
+    if "diffusion" not in effective:
+        sections["diffusion"] = {}
 
     env_seed = os.environ.get("STAB_SEED")
     if env_seed is not None and "coupling" in sections:
@@ -204,38 +129,29 @@ def parse_run_config(document: dict, require: tuple[str, ...]) -> RunConfig:
         except ValueError:
             violations.append(f"STAB_SEED must be an integer, got {env_seed!r}")
 
-    plant = policy = diffusion = coupling = None
-    if "plant" in sections:
-        plant = _parse_plant(sections["plant"], violations)
-    if "policy" in sections:
-        policy = _parse_policy(sections["policy"], violations)
-    if "diffusion" in sections or "diffusion" not in effective:
-        diffusion = _parse_diffusion(sections.get("diffusion", {}), violations)
-    if "coupling" in sections:
-        coupling = _parse_coupling(
-            sections["coupling"], plant.n_inputs if plant else None, violations
-        )
+    built = {}
+    for section, spec in _SECTIONS.items():
+        if spec is None or section not in sections:
+            continue
+        allowed, required, build = spec
+        doc = sections[section]
+        missing = [key for key in required if key not in doc]
+        problems = [f"unknown key {key!r}" for key in doc if key not in allowed]
+        problems += [f"requires key {key!r}" for key in missing]
+        if not missing:
+            try:
+                built[section] = build({k: v for k, v in doc.items() if k in allowed}, built)
+            except (StabkitError, TypeError, ValueError) as exc:
+                problems.append(str(exc))
+        violations += [f"{section}: {problem}" for problem in problems]
 
-    present = {
-        "plant": plant,
-        "policy": policy,
-        "diffusion": diffusion,
-        "coupling": coupling,
-    }
     for name in require:
-        if name not in ("diffusion",) and name not in effective:
-            violations.append(f"missing config section {name!r}")
-        elif present[name] is None and not any(
-            v.startswith(f"{name}:") for v in violations
-        ):
+        if name not in effective and name != "diffusion":
             violations.append(f"missing config section {name!r}")
     if violations:
         raise ConfigError(violations)
     return RunConfig(
-        plant=plant,
-        policy=policy,
-        diffusion=diffusion,
-        coupling=coupling,
+        **{name: built.get(name) for name in ("plant", "policy", "diffusion", "coupling")},
         output=sections.get("output", {}),
         effective=effective,
     )
@@ -322,19 +238,7 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     config = _load_config(args.config, require=("plant", "policy", "diffusion"))
     plant, policy, diffusion = config.plant, config.policy, config.diffusion
-    if plant.n_states == 1 and plant.n_inputs == 1:
-        verdict = analytic_1d(
-            float(plant.A[0, 0]),
-            float(plant.B[0, 0]),
-            float(policy.K[0, 0]),
-            float(np.sqrt(policy.Sigma[0, 0])),
-            diffusion.g,
-            diffusion.alpha,
-        )
-    else:
-        verdict = analytic_ndim(
-            plant.A, plant.B, policy.K, policy.Sigma, diffusion.g, diffusion.alpha
-        )
+    verdict = analytic_verdict(plant, policy.K, policy.Sigma, diffusion.g, diffusion.alpha)
     print(json.dumps(_analytic_dict(verdict), sort_keys=True))
     return 0
 

@@ -81,12 +81,19 @@ class CouplingConfig:
     dt_inner: float | None = None
 
     def __post_init__(self):
-        mode = CouplingMode(self.mode)
-        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "mode", CouplingMode(self.mode))
+        for name in ("dt", "horizon"):
+            object.__setattr__(self, name, matrixkit.as_real(getattr(self, name), name))
+        for name in ("seed", "record_stride"):
+            object.__setattr__(self, name, matrixkit.as_whole(getattr(self, name), name))
+        if self.dt_inner is not None:
+            object.__setattr__(self, "dt_inner", matrixkit.as_real(self.dt_inner, "dt_inner"))
         if not (self.dt > 0.0):
             raise ParameterError(f"dt must be > 0, got {self.dt}")
         if not (self.horizon > 0.0):
             raise ParameterError(f"horizon must be > 0, got {self.horizon}")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ParameterError(f"horizon/dt = {self.horizon / self.dt} steps is not finite")
         if self.n_steps < _MIN_STEPS:
             raise ParameterError(
                 f"horizon/dt = {self.horizon / self.dt:.3g} gives fewer than "
@@ -98,7 +105,6 @@ class CouplingConfig:
             raise ParameterError(f"dt_inner must be > 0, got {self.dt_inner}")
         object.__setattr__(self, "e0", matrixkit.as_vector(self.e0, "e0"))
         object.__setattr__(self, "u0", matrixkit.as_vector(self.u0, "u0"))
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n_steps(self) -> int:

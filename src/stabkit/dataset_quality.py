@@ -24,7 +24,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .plant import PlantModel
-from .stability_analyzer import StabilityVerdict, analytic_1d, analytic_ndim
+from .stability_analyzer import StabilityVerdict, analytic_verdict
 
 DEFAULT_COV_FLOOR = 1e-12
 
@@ -243,21 +243,12 @@ def quality_report(
         )
     k_hat = estimate_gain(demos)
     sigma_hat = estimate_covariance(demos, k_hat)
-    if plant.n_states == 1 and plant.n_inputs == 1:
-        a = float(plant.A[0, 0])
-        verdict = analytic_1d(
-            a,
-            float(plant.B[0, 0]),
-            float(k_hat[0, 0]),
-            float(np.sqrt(sigma_hat[0, 0])),
-            g,
-            alpha,
-        )
-        threshold = g * float(np.sqrt(alpha / a)) if a > 0.0 else None
+    verdict = analytic_verdict(plant, k_hat, sigma_hat, g, alpha)
+    if plant.n_states == 1:
+        lam_max = float(plant.A[0, 0])
     else:
-        verdict = analytic_ndim(plant.A, plant.B, k_hat, sigma_hat, g, alpha)
         lam_max = float(matrixkit.eig_sym(matrixkit.symmetric_part(plant.A))[-1])
-        threshold = g * float(np.sqrt(alpha / lam_max)) if lam_max > 0.0 else None
+    threshold = g * float(np.sqrt(alpha / lam_max)) if lam_max > 0.0 else None
     return QualityReport(
         k_hat=k_hat,
         sigma_hat=sigma_hat,

@@ -44,6 +44,11 @@ class DiffusionParams:
     inner_steps: int = 25
 
     def __post_init__(self):
+        object.__setattr__(self, "g", matrixkit.as_real(self.g, "g"))
+        object.__setattr__(self, "alpha", matrixkit.as_real(self.alpha, "alpha"))
+        object.__setattr__(self, "inner_steps", matrixkit.as_whole(self.inner_steps, "inner_steps"))
+        if not isinstance(self.stochastic, bool):
+            raise ParameterError(f"stochastic must be true or false, got {self.stochastic!r}")
         if not (self.g > 0.0):
             raise ParameterError(f"diffusion coefficient g must be > 0, got {self.g}")
         if not (self.alpha > 0.0):

@@ -8,11 +8,15 @@ which refuses a matrix whose smallest singular value is at most
 ``PIVOT_RTOL`` times its largest entry magnitude. 2x2 eigenvalues use a
 cancellation-safe quadratic formula. All operations are pure functions on
 immutable values.
+
+The coercions :func:`as_real`, :func:`as_whole`, :func:`as_matrix` and
+:func:`as_vector` hold the type rules of every numeric field in the package.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .errors import (
     DimensionError,
     NonFiniteError,
     NotPositiveDefiniteError,
+    ParameterError,
     SingularMatrixError,
 )
 
@@ -32,13 +37,44 @@ PIVOT_RTOL = 1e-12
 PD_RTOL = 1e-12
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a float. Python and numpy reals are accepted; bools,
+    strings and anything else raise ParameterError."""
+    if not _is_number(value):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def as_whole(value, name: str) -> int:
+    """``value`` as an int. Integers and whole-valued reals (``7.0``) are
+    accepted; fractions, bools, strings and anything else raise
+    ParameterError."""
+    if _is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    raise ParameterError(f"{name} must be a whole number, got {value!r}")
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; ParameterError unless its entries are
+    integers or reals (bools, strings and objects are refused)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ParameterError(f"{name} must hold numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce ``values`` to a finite float64 2-D array.
 
-    Scalars become 1x1 matrices. Raises DimensionError for other ranks and
-    NonFiniteError when any entry is NaN or infinite.
+    Scalars become 1x1 matrices. Raises ParameterError for entries that are
+    not numbers, DimensionError for other ranks and NonFiniteError when any
+    entry is NaN or infinite.
     """
-    a = np.asarray(values, dtype=float)
+    a = _float_array(values, name)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     if a.ndim != 2:
@@ -52,7 +88,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
     """Coerce ``values`` to a finite float64 1-D array (scalars become length 1)."""
-    v = np.asarray(values, dtype=float)
+    v = _float_array(values, name)
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1:

@@ -20,17 +20,21 @@ from .errors import DimensionError, ParameterError
 class PlantModel:
     """Continuous-time LTI plant e' = A e + B u with a setpoint.
 
-    A is N x N (units 1/time), B is N x M, setpoint has length N.
+    A is N x N (units 1/time), B is N x M, setpoint has length N (zeros
+    when not given).
     """
 
     A: np.ndarray
     B: np.ndarray
-    setpoint: np.ndarray
+    setpoint: np.ndarray | None = None
 
     def __post_init__(self):
         a = matrixkit.require_square(self.A, "plant A")
         b = matrixkit.as_matrix(self.B, "plant B")
-        r = matrixkit.as_vector(self.setpoint, "plant setpoint")
+        if self.setpoint is None:
+            r = np.zeros(a.shape[0])
+        else:
+            r = matrixkit.as_vector(self.setpoint, "plant setpoint")
         if b.shape[0] != a.shape[0]:
             raise DimensionError(
                 f"plant B must have {a.shape[0]} rows to match A, got {b.shape[0]}"

@@ -304,6 +304,15 @@ def analytic_ndim(A, B, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
     )
 
 
+def analytic_verdict(plant: PlantModel, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
+    """The verdict for ``plant`` under expert (K, Sigma): :func:`analytic_1d`
+    with sigma = sqrt(Sigma) for a 1x1 plant, else :func:`analytic_ndim`."""
+    if plant.n_states == 1 and plant.n_inputs == 1:
+        sigma = float(np.sqrt(Sigma[0, 0]))
+        return analytic_1d(plant.A[0, 0], plant.B[0, 0], K[0, 0], sigma, g, alpha)
+    return analytic_ndim(plant.A, plant.B, K, Sigma, g, alpha)
+
+
 def classify_table_row(
     a_sign: float, closed_loop_sign: float, kprime: float, a: float
 ) -> str:
@@ -501,6 +510,6 @@ def _evaluate_cell(params: dict, empirical: bool):
     """The one-cell evaluation of a refused cell, which raises its error."""
     analytic_1d(**params)
     if empirical:
-        PlantModel(A=[[params["A"]]], B=[[params["B"]]], setpoint=[0.0])
+        PlantModel(A=[[params["A"]]], B=[[params["B"]]])
         ExpertPolicy(K=[[params["K"]]], Sigma=[[params["sigma"] ** 2]])
         DiffusionParams(g=params["g"], alpha=params["alpha"])

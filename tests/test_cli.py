@@ -347,7 +347,10 @@ class TestConfigTypes:
         [("diffusion", "stochastic", "false"), ("diffusion", "stochastic", 0),
          ("diffusion", "inner_steps", 2.7), ("diffusion", "inner_steps", True),
          ("coupling", "record_stride", 1.9), ("coupling", "record_stride", "2"),
-         ("coupling", "seed", 1.5), ("coupling", "seed", False)],
+         ("coupling", "seed", 1.5), ("coupling", "seed", False),
+         ("diffusion", "g", True), ("diffusion", "alpha", "1"), ("coupling", "dt", "0.01"),
+         ("coupling", "dt_inner", True), ("policy", "sigma", True), ("plant", "A", "2"),
+         ("coupling", "e0", [True]), ("diffusion", "drift", [True])],
     )
     def test_bad_flag_or_count_is_refused(self, tmp_path, capsys, monkeypatch, section, key,
                                           value):
@@ -356,8 +359,26 @@ class TestConfigTypes:
         doc[section][key] = value
         doc["output"] = {"trajectory": str(tmp_path / "t.csv")}
         code, err = self.simulate(tmp_path, capsys, doc)
-        kind = "true or false" if key == "stochastic" else "a whole number"
-        assert (code, err) == (2, f"error: {section}: {key} must be {kind}, got {value!r}\n")
+        if key in ("A", "e0", "drift"):  # arrays: the message names the dtype
+            name = "plant A" if key == "A" else key
+            message = f"{name} must hold numbers, got dtype {np.asarray(value).dtype}"
+        else:
+            kinds = {"stochastic": "true or false", "inner_steps": "a whole number",
+                     "record_stride": "a whole number", "seed": "a whole number"}
+            message = f"{key} must be {kinds.get(key, 'a number')}, got {value!r}"
+        assert (code, err) == (2, f"error: {section}: {message}\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_infinite_step_count_is_refused(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["output"] = {"trajectory": str(tmp_path / "t.csv")}
+        text = json.dumps(doc).replace('"horizon": 20.0', '"horizon": 1e400')
+        assert "1e400" in text
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = cli.main(["simulate", "-c", str(path)])
+        err = capsys.readouterr().err
+        assert (code, err) == (2, "error: coupling: horizon/dt = inf steps is not finite\n")
         assert not (tmp_path / "t.csv").exists()
 
     def test_whole_float_counts_are_accepted(self, tmp_path, capsys, monkeypatch):

@@ -44,6 +44,29 @@ class TestCouplingConfig:
         with pytest.raises(ParameterError):
             config("per-step", record_stride=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("record_stride", 1.9), ("record_stride", "2"), ("record_stride", True), ("seed", 1.5)],
+    )
+    def test_rejects_counts_that_are_not_whole_numbers(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be a whole number"):
+            config("per-step", **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("dt", "0.01"), ("horizon", True), ("dt_inner", "1")])
+    def test_rejects_times_that_are_not_numbers(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be a number"):
+            config("inner-loop", **{field: value})
+
+    def test_accepts_numpy_scalars_and_whole_floats(self):
+        cfg = config("per-step", dt=np.float64(0.5), record_stride=7.0, seed=np.int64(3))
+        assert (cfg.dt, cfg.record_stride, cfg.seed) == (0.5, 7, 3)
+        assert (type(cfg.dt), type(cfg.record_stride), type(cfg.seed)) == (float, int, int)
+
+    @pytest.mark.parametrize("dt, horizon", [(1e-3, math.inf), (1e-300, 1e10)])
+    def test_rejects_infinite_step_count(self, dt, horizon):
+        with pytest.raises(ParameterError, match="horizon/dt = inf steps is not finite"):
+            config("per-step", dt=dt, horizon=horizon)
+
 
 class TestSimulate:
     def test_equilibrium_stays_zero(self):

@@ -30,6 +30,24 @@ class TestDiffusionParams:
         with pytest.raises(ParameterError):
             DiffusionParams(g=1.0, alpha=1.0, inner_steps=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("inner_steps", 2.5, "inner_steps must be a whole number"),
+         ("stochastic", "false", "stochastic must be true or false"),
+         ("g", True, "g must be a number"),
+         ("alpha", "1", "alpha must be a number"),
+         ("drift", [True], "drift must hold numbers, got dtype bool")],
+    )
+    def test_rejects_wrong_types(self, field, value, message):
+        with pytest.raises(ParameterError, match=message):
+            DiffusionParams(**{"g": 1.0, "alpha": 1.0, field: value})
+
+    def test_accepts_numpy_scalars_and_whole_floats(self):
+        params = DiffusionParams(g=np.float64(0.5), alpha=np.int64(2), inner_steps=7.0)
+        assert (params.g, params.alpha, params.inner_steps) == (0.5, 2.0, 7)
+        assert (type(params.g), type(params.alpha), type(params.inner_steps)) == (float, float, int)
+        assert DiffusionParams(g=1.0, alpha=1.0, inner_steps=np.int64(3)).inner_steps == 3
+
 
 class TestRngStream:
     def test_bit_reproducible(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,46 @@ from stabkit.errors import (
     DimensionError,
     NonFiniteError,
     NotPositiveDefiniteError,
+    ParameterError,
     SingularMatrixError,
 )
 
 RNG = np.random.default_rng(1234)
+
+
+class TestCoercions:
+    @pytest.mark.parametrize("value", [2, 2.5, np.float64(2.5), np.int64(2), np.float32(0.5)])
+    def test_as_real_accepts_numbers(self, value):
+        out = mk.as_real(value, "x")
+        assert type(out) is float and out == float(value)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "1", None, [1.0]])
+    def test_as_real_refuses_non_numbers(self, value):
+        with pytest.raises(ParameterError, match=re.escape(f"x must be a number, got {value!r}")):
+            mk.as_real(value, "x")
+
+    @pytest.mark.parametrize("value", [7, 7.0, np.int64(7), np.float64(7.0), 2**70])
+    def test_as_whole_accepts_whole_values(self, value):
+        out = mk.as_whole(value, "n")
+        assert type(out) is int and out == value
+
+    @pytest.mark.parametrize("value", [1.9, math.inf, math.nan, True, "2", None])
+    def test_as_whole_refuses_everything_else(self, value):
+        with pytest.raises(ParameterError, match="n must be a whole number"):
+            mk.as_whole(value, "n")
+
+    @pytest.mark.parametrize(
+        "values, dtype", [("2", "<U1"), ([True, False], "bool"), ([1.0, None], "object")]
+    )
+    def test_arrays_must_hold_numbers(self, values, dtype):
+        for coerce in (mk.as_matrix, mk.as_vector):
+            with pytest.raises(ParameterError) as info:
+                coerce(values, "M")
+            assert str(info.value) == f"M must hold numbers, got dtype {dtype}"
+
+    def test_integer_arrays_become_float(self):
+        out = mk.as_matrix(np.array([[1, 2], [3, 4]], dtype=np.int32))
+        assert out.dtype == np.float64 and np.array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestSymmetricPart:
