@@ -217,14 +217,6 @@ def simulate_scalar_grid(a, b, k, variance, g, alpha, config: CouplingConfig) ->
         yield from _rollout(maps, step_off[first : first + rows], None, config)
 
 
-def _start(config: CouplingConfig) -> tuple[np.ndarray, float]:
-    """The homogeneous start row (e0, u0, 1) of a run and its blow-up bound."""
-    z0 = np.concatenate([config.e0, config.u0, [1.0]])
-    with np.errstate(over="ignore"):
-        norm = _rescale_overflow(np.array([np.linalg.norm(config.e0)]), config.e0[None])
-    return z0, BLOWUP_FACTOR * (1.0 + float(norm[0]))
-
-
 def _compile(
     plant: PlantModel,
     policy: ExpertPolicy,
@@ -308,36 +300,57 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig) -> Iterator[Traj
     noisy batch is one run, which draws from the stream of ``config.seed``.
 
     The maps act on homogeneous rows (z, 1), so z M^T + c is one matmul by
-    H. Rows advance a block of up to ``_BLOCK`` recorded samples per batched
-    matmul, against a table of the powers of P = H^stride built by doubling.
-    A noisy row adds its block's draws Xi as Xi T, with T the block-Toeplitz
-    map of the noise-mapped powers [G^T, 0] H^m, applied in two factors:
-    each sample's draws reach its end through one stride's kicks
+    H. Rows advance in spans of plant steps, a block of up to ``_BLOCK``
+    spans per batched matmul, against a table of the powers of P = H^span
+    built by doubling. A noisy row adds its block's draws Xi as Xi T, with T
+    the block-Toeplitz map of the noise-mapped powers [G^T, 0] H^m, applied
+    in two factors: each span's draws reach its end through one span's kicks
     (``_kicks``), and a doubling scan by P, P^2, P^4, ... carries them to
-    the later samples. A noiseless row is the zero-width case. A block's
-    draws and the kicks fit ``_BATCH_FLOATS``.
+    the later spans. A noiseless row is the zero-width case. A block's draws
+    and the kicks fit ``_BATCH_FLOATS``.
+
+    A row's span is the stride (capped at the step count) when its P,
+    remainder power H^(steps mod span) and kicks stay within ``_POWER_CAP``
+    and its kicks fit the budget: an overflowing power would turn an exact
+    zero state into NaN. Otherwise it is one plant step, against a power
+    table as long as the budget allows; a block then records, and checks
+    for blow-up, only its steps on the stride grid and the final step, and
+    is at least one step even when H passes the cap. A batch whose rows
+    need both spans rolls out the rows of each span apart.
 
     Draw contract: a block reads its draws with ``RngStream.peek``, which
     does not advance the stream, then takes through ``standard_normal``
-    exactly the draws of the samples it keeps, up to the one that diverged.
-    A seed keeps its draws, in the order ``full_denoise`` takes them, and a
-    stopped row draws nothing past its last sample.
-
-    A power or kick is used only while its entries stay within
-    ``_POWER_CAP``: an overflowing power would turn an exact zero state into
-    NaN. Rows whose first power or kicks pass the cap, and noisy rows whose
-    one-stride kicks exceed the budget, advance one recorded sample at a
-    time, in chunks of plant steps, drawing each chunk's noise just before it.
+    exactly the draws up to the last sample it keeps, the one that diverged
+    if any. A seed keeps its draws, in the order ``full_denoise`` takes
+    them, and a stopped row draws nothing past its last sample.
     """
     count, dim = step_mat.shape[:2]
     steps, stride, n = config.n_steps, config.record_stride, config.e0.shape[0]
     width = 0 if noise is None else noise.shape[2]
-    z0, blow = _start(config)
     hom = np.zeros((count, dim + 1, dim + 1))
     hom[:, dim, dim] = 1.0
     hom[:, :dim, :dim], hom[:, dim, :dim] = step_mat.transpose(0, 2, 1), step_off
-    full, rem = divmod(steps, stride)
-    ks = np.concatenate([[0.0], np.arange(stride, steps + 1, stride), [steps] if rem else []])
+    span = min(stride, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0_norm = _rescale_overflow(np.array([np.linalg.norm(config.e0)]), config.e0[None])
+        table = _power_table(np.linalg.matrix_power(hom, span), min(steps // span, _BLOCK))
+        last = np.linalg.matrix_power(hom, steps % span)
+        usable = _leading_capped(table)
+        fits = (usable > 0) & (_leading_capped(last[:, None]) > 0)
+        if width:
+            # One span's kicks, and a block's draws, fit the budget.
+            fits &= span <= max(1, _BATCH_FLOATS // (width * (dim + 1)))
+            kicks = _kicks(hom, noise, span if fits.all() else 1)
+            fits &= (np.abs(kicks) <= _POWER_CAP).all(axis=(1, 2))
+    if 0 < fits.sum() < count:
+        # Noiseless rows are independent: the rows of each span roll out apart.
+        parts = np.flatnonzero(fits), np.flatnonzero(~fits)
+        runs = [run for p in parts for run in _rollout(step_mat[p], step_off[p], None, config)]
+        yield from (runs[i] for i in np.argsort(np.concatenate(parts)))
+        return
+    z0, blow = np.concatenate([config.e0, config.u0, [1.0]]), BLOWUP_FACTOR * (1.0 + e0_norm[0])
+    ks = np.concatenate([[0.0], np.arange(stride, steps + 1, stride),
+                         [steps] if steps % stride else []])
     records = np.empty((count, ks.size, dim + 1))
     records[:, 0] = z0
     counts = np.full(count, ks.size)
@@ -347,41 +360,37 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig) -> Iterator[Traj
     def keep(rows, block, first):
         """Stop each row whose samples (block[i] is record first + i) blow
         up; return the mask of rows that keep running."""
-        e_norm = _rescale_overflow(np.sqrt(np.sum(block[..., :n] ** 2, axis=-1)), block[..., :n])
-        u_norm = _rescale_overflow(np.sqrt(np.sum(block[..., n:dim] ** 2, axis=-1)),
-                                   block[..., n:dim])
-        bad = ~np.isfinite(block).all(axis=-1) | (np.maximum(e_norm, u_norm) > blow)
+        e_u = block[..., :n], block[..., n:dim]
+        norms = [_rescale_overflow(np.sqrt(np.sum(v ** 2, axis=-1)), v) for v in e_u]
+        bad = ~np.isfinite(block).all(axis=-1) | (np.maximum(*norms) > blow)
         hit = bad.any(axis=1)
         counts[rows[hit]] = first + 1 + bad[hit].argmax(axis=1)
         diverged[rows[hit]] = True
         return ~hit
 
     with np.errstate(over="ignore", invalid="ignore"):
-        span = min(stride, steps)
-        table = _power_table(np.linalg.matrix_power(hom, span), min(full, _BLOCK))
-        last = np.linalg.matrix_power(hom, rem)
-        usable = _leading_capped(table)
-        stepwise = (usable == 0) | (_leading_capped(last[:, None]) == 0)
-        reach = span
+        if not fits.all():
+            length = max(_BLOCK, _BATCH_FLOATS // (count * (dim + 1) ** 2))
+            span, table = 1, _power_table(hom, min(steps, length))
+            usable = _leading_capped(table)
+        full, rem = divmod(steps, span)
         if width:
-            # The kicks of up to one sample's steps, and a block's draws, fit
-            # the budget; a run whose sample needs more kicks goes stepwise.
-            reach = max(1, min(span, _BATCH_FLOATS // (width * (dim + 1))))
-            kicks = _kicks(hom, noise, reach)
             usable = np.minimum(usable, _BATCH_FLOATS // (span * width))
-            stepwise |= (reach < span) | ~(np.abs(kicks) <= _POWER_CAP).all(axis=(1, 2))
-        # Rows that stopped or run stepwise are carried as zeros.
-        live = ~stepwise
-        z = np.where(live[:, None], z0, 0.0)
-        done = 0
+        # Record r is the state after ends[r] spans (dense: every span ends on one).
+        ends = -(-ks.astype(np.int64) // span)
+        dense = ends[-1] == ks.size - 1
+        # Rows that stopped are carried as zeros.
+        live = np.ones(count, dtype=bool)
+        z = np.tile(z0, (count, 1))
+        done, first = 0, 1
         while live.any() and done < full + (rem > 0):
             main = done < full
-            size = int(min(full - done, usable[live].min())) if main else 1
+            size = max(1, int(min(full - done, usable[live].min()))) if main else 1
             block = np.matmul(z[:, None, None], table[:, :size] if main else last[:, None])[:, :, 0]
             rows = np.flatnonzero(live)
             if width:
-                # Each sample's own draws, then those of earlier samples
-                # carried forward by a doubling scan over the powers.
+                # Each span's own draws, then those of earlier spans carried
+                # forward by a doubling scan over the powers.
                 per = (span if main else rem) * width
                 xi = rng.peek(size * per).reshape(1, size, per)
                 kicked = np.matmul(xi, kicks[:, kicks.shape[1] - per :])
@@ -390,36 +399,15 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig) -> Iterator[Traj
                     kicked[:, lag:] += np.matmul(kicked[:, :-lag], table[:, lag - 1])
                     lag *= 2
                 block += kicked
-            records[:, 1 + done : 1 + done + size] = block
-            live[rows[~keep(rows, block[rows], 1 + done)]] = False
-            if width:  # take the draws of the samples kept
-                rng.standard_normal(min(size, counts[0] - 1 - done) * per)
+            stop = first + size if dense else int(np.searchsorted(ends, done + size, "right"))
+            samples = block if dense else block[:, ends[first:stop] - done - 1]
+            records[:, first:stop] = samples
+            if stop > first:
+                live[rows[~keep(rows, samples[rows], first)]] = False
+            if width:  # take the draws up to the last sample kept
+                rng.standard_normal(min(size, ends[counts[0] - 1] - done) * per)
             z = np.where(live[:, None], block[:, -1], 0.0)
-            done += size
-
-        rows = np.flatnonzero(stepwise)
-        chunk = min(reach, _BATCH_FLOATS // max(1, rows.size * (dim + 1) ** 2))
-        powers = _power_table(hom[rows], chunk)
-        chunk = max(1, int(_leading_capped(powers).min(initial=chunk)))
-        z = np.tile(z0, (rows.size, 1, 1))
-        for record in range(1, ks.size if rows.size else 1):
-            left = stride if record <= full else rem
-            while left:
-                size = min(left, chunk)
-                z = np.matmul(z, powers[:, size - 1])
-                if width:
-                    # Over a chunk of c steps: z <- z H^c + sum_i xi_i G^T H^(c-1-i).
-                    draws = rng.standard_normal(size * width).reshape(1, 1, -1)
-                    z += np.matmul(draws, kicks[:, kicks.shape[1] - size * width :])
-                left -= size
-            records[rows, record] = z[:, 0]
-            # One sum of squares below the bound clears every row; a sum that
-            # overflows goes to the per-row check.
-            if not np.vdot(z, z) < blow * blow:
-                running = keep(rows, z, record)
-                rows, z, powers = rows[running], z[running], powers[running]
-                if not rows.size:
-                    break
+            done, first = done + size, stop
 
     for row in range(count):
         kept = counts[row]

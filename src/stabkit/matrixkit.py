@@ -43,10 +43,14 @@ def _is_number(value) -> bool:
 
 def as_real(value, name: str) -> float:
     """``value`` as a float. Python and numpy reals are accepted; bools,
-    strings and anything else raise ParameterError."""
+    strings, integers beyond the float range and anything else raise
+    ParameterError."""
     if not _is_number(value):
         raise ParameterError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} is an integer beyond the float range") from None
 
 
 def as_whole(value, name: str) -> int:
@@ -58,11 +62,18 @@ def as_whole(value, name: str) -> int:
     raise ParameterError(f"{name} must be a whole number, got {value!r}")
 
 
+def _holds_bool(values) -> bool:
+    """Whether a (regular, nested) list or tuple holds a bool, which numpy
+    would upcast to a number when it shares the list with numbers."""
+    return not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat))
+
+
 def _float_array(values, name: str) -> np.ndarray:
     """``values`` as a float64 array; ParameterError unless its entries are
-    integers or reals (bools, strings and objects are refused)."""
+    integers or reals (bools, strings and objects are refused). Only lists
+    and tuples are walked for bools; an array's dtype speaks for it."""
     a = np.asarray(values)
-    if a.dtype.kind not in "iuf":
+    if a.dtype.kind not in "iuf" or (isinstance(values, (list, tuple)) and _holds_bool(values)):
         raise ParameterError(f"{name} must hold numbers, got dtype {a.dtype}")
     return a.astype(float, copy=False)
 

@@ -31,7 +31,6 @@ from .coupled_sim import (
     classify_empirical,
     simulate_scalar_grid,
 )
-from .diffusion_controller import DiffusionParams
 from .errors import DimensionError, NonFiniteError, ParameterError
 from .plant import ExpertPolicy, PlantModel
 
@@ -510,6 +509,4 @@ def _evaluate_cell(params: dict, empirical: bool):
     """The one-cell evaluation of a refused cell, which raises its error."""
     analytic_1d(**params)
     if empirical:
-        PlantModel(A=[[params["A"]]], B=[[params["B"]]])
         ExpertPolicy(K=[[params["K"]]], Sigma=[[params["sigma"] ** 2]])
-        DiffusionParams(g=params["g"], alpha=params["alpha"])

@@ -350,7 +350,8 @@ class TestConfigTypes:
          ("coupling", "seed", 1.5), ("coupling", "seed", False),
          ("diffusion", "g", True), ("diffusion", "alpha", "1"), ("coupling", "dt", "0.01"),
          ("coupling", "dt_inner", True), ("policy", "sigma", True), ("plant", "A", "2"),
-         ("coupling", "e0", [True]), ("diffusion", "drift", [True])],
+         ("coupling", "e0", [True]), ("diffusion", "drift", [True]),
+         ("coupling", "e0", [1.0, True]), ("plant", "A", [[2.0, True], [0.0, 1.0]])],
     )
     def test_bad_flag_or_count_is_refused(self, tmp_path, capsys, monkeypatch, section, key,
                                           value):
@@ -379,6 +380,14 @@ class TestConfigTypes:
         code = cli.main(["simulate", "-c", str(path)])
         err = capsys.readouterr().err
         assert (code, err) == (2, "error: coupling: horizon/dt = inf steps is not finite\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_integer_beyond_float_range_is_refused(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["output"] = {"trajectory": str(tmp_path / "t.csv")}
+        doc["policy"]["sigma"] = 10**400  # json writes it as a 401-digit integer literal
+        code, err = self.simulate(tmp_path, capsys, doc)
+        assert (code, err) == (2, "error: policy: sigma is an integer beyond the float range\n")
         assert not (tmp_path / "t.csv").exists()
 
     def test_whole_float_counts_are_accepted(self, tmp_path, capsys, monkeypatch):

@@ -373,18 +373,25 @@ class TestCompiledStepMap:
 
 
 class TestRollout:
-    def test_zero_equilibrium_of_unstable_map_stays_zero(self):
+    def test_zero_equilibrium_of_unstable_map_stays_zero(self, monkeypatch):
         # K' dt = 4: the per-step Euler map has an eigenvalue near -3, so the
-        # powers of its 25-step map overflow within a few dozen samples
+        # powers of its 25-step map overflow within a few dozen samples.
+        # Horizon 20.001 leaves a remainder of one step after the last stride.
+        # A cap of 1e5, which the 25-step map passes, takes one-step spans.
         unstable = ExpertPolicy(K=3.0, Sigma=[[1.0 / 4000.0]])
-        cfg = config("per-step", dt=1e-3, e0=[0.0], u0=[0.0], record_stride=25)
-        traj = simulate(DEMO_PLANT, unstable, DET_DIFFUSION, cfg)
-        assert not traj.diverged
-        assert len(traj) == 20000 // 25 + 1
-        assert np.all(traj.states == 0.0) and np.all(traj.actions == 0.0)
-        assert classify_empirical(traj).label == "stable"
-        moved = simulate(DEMO_PLANT, unstable, DET_DIFFUSION, replace(cfg, e0=[1e-6]))
-        assert moved.diverged
+        runs = [(cap, horizon, samples) for cap in (coupled_sim._POWER_CAP, 1e5)
+                for horizon, samples in ((20.0, 801), (20.001, 802))]
+        for cap, horizon, samples in runs:
+            monkeypatch.setattr(coupled_sim, "_POWER_CAP", cap)
+            cfg = config("per-step", dt=1e-3, horizon=horizon, e0=[0.0], u0=[0.0],
+                         record_stride=25)
+            traj = simulate(DEMO_PLANT, unstable, DET_DIFFUSION, cfg)
+            assert not traj.diverged
+            assert len(traj) == samples
+            assert np.all(traj.states == 0.0) and np.all(traj.actions == 0.0)
+            assert classify_empirical(traj).label == "stable"
+            moved = simulate(DEMO_PLANT, unstable, DET_DIFFUSION, replace(cfg, e0=[1e-6]))
+            assert moved.diverged
 
     @pytest.mark.parametrize("stride", [1, 7, 3000])
     def test_stride_does_not_change_samples(self, stride):

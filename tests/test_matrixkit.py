@@ -28,6 +28,11 @@ class TestCoercions:
         with pytest.raises(ParameterError, match=re.escape(f"x must be a number, got {value!r}")):
             mk.as_real(value, "x")
 
+    def test_as_real_refuses_integers_beyond_float_range(self):
+        with pytest.raises(ParameterError, match="x is an integer beyond the float range"):
+            mk.as_real(10**400, "x")
+        assert mk.as_real(10**308, "x") == 1e308
+
     @pytest.mark.parametrize("value", [7, 7.0, np.int64(7), np.float64(7.0), 2**70])
     def test_as_whole_accepts_whole_values(self, value):
         out = mk.as_whole(value, "n")
@@ -46,6 +51,16 @@ class TestCoercions:
             with pytest.raises(ParameterError) as info:
                 coerce(values, "M")
             assert str(info.value) == f"M must hold numbers, got dtype {dtype}"
+
+    @pytest.mark.parametrize(
+        "values", [[1.0, True], [[2.0, True], [0.0, 1.0]], ([1.0], (np.bool_(False),))]
+    )
+    def test_bool_among_numbers_is_refused(self, values):
+        # numpy would upcast the bool to a number
+        assert np.asarray(values).dtype == np.float64
+        for coerce in (mk.as_matrix, mk.as_vector):
+            with pytest.raises(ParameterError, match="M must hold numbers, got dtype float64"):
+                coerce(values, "M")
 
     def test_integer_arrays_become_float(self):
         out = mk.as_matrix(np.array([[1, 2], [3, 4]], dtype=np.int32))

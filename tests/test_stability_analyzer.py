@@ -663,6 +663,8 @@ class TestGridEmpiricalParity:
             (AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6)),
             (AxisSpec("K", 0.4, 4.0, 5), AxisSpec("sigma", 0.02, 1.5, 7)),
             (AxisSpec("g", 0.5, 2.0, 1), AxisSpec("B", -1.0, 4.0, 9)),
+            # K' dt up to 1e30: those cells' 4-step maps pass the power cap
+            (AxisSpec("A", 0.5, 3.0, 4), AxisSpec("kprime", 1.0, 1e32, 4)),
         ],
     )
     def test_verdicts_match_per_cell_runs(self, monkeypatch, batch_floats, axis1, axis2):
