@@ -17,13 +17,15 @@ the two updates commute to O(dt^2).
 
 The coupled system is linear, so every mode compiles to one affine step map
 z <- M z + c + G xi on the joint state z = (e, u), with xi the step's
-standard normal draws. One rollout advances a batch of such maps.
+standard normal draws. One rollout advances a batch of such maps: one run
+for ``simulate``, or the cells of a scalar sweep for
+``simulate_scalar_grid``, which keeps only what the rate fit reads and
+fits every cell in one vectorized pass.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -45,6 +47,9 @@ RATE_DEADBAND = 0.02
 _NORM_FLOOR = 1e-300
 
 _MIN_STEPS = 10
+# Step indices are floats (sample times are index * dt): every count up to
+# 2**53 is exact.
+_MAX_STEPS = 2**53
 
 # Recorded samples per vectorized block: the length of the power table.
 _BLOCK = 128
@@ -94,6 +99,11 @@ class CouplingConfig:
             raise ParameterError(f"horizon must be > 0, got {self.horizon}")
         if not math.isfinite(self.horizon / self.dt):
             raise ParameterError(f"horizon/dt = {self.horizon / self.dt} steps is not finite")
+        if self.n_steps > _MAX_STEPS:
+            raise ParameterError(
+                f"horizon/dt = {self.horizon / self.dt:.3g} steps is more than 2**53, "
+                f"past which step indices are not exact floats"
+            )
         if self.n_steps < _MIN_STEPS:
             raise ParameterError(
                 f"horizon/dt = {self.horizon / self.dt:.3g} gives fewer than "
@@ -127,13 +137,7 @@ class Trajectory:
     def joint_norms(self) -> np.ndarray:
         """Euclidean norm of the stacked (e, u) vector per sample."""
         with np.errstate(over="ignore"):
-            norms = np.sqrt(
-                np.sum(self.states * self.states, axis=1)
-                + np.sum(self.actions * self.actions, axis=1)
-            )
-        if np.isinf(norms).any():
-            norms = _rescale_overflow(norms, np.hstack([self.states, self.actions]))
-        return norms
+            return _joint_norms(self.states, self.actions)
 
 
 @dataclass(frozen=True)
@@ -186,35 +190,48 @@ def simulate(
     non-finite value) stops the run early with ``diverged=True``.
     """
     step_mat, step_off, noise = _compile(plant, policy, diffusion, config)
-    return next(_rollout(step_mat[None], step_off[None], None if noise is None else noise[None],
-                         config))
+    counts, diverged, records = _rollout(
+        step_mat[None], step_off[None], None if noise is None else noise[None], config
+    )
+    kept, n = counts[0], config.e0.shape[0]
+    return Trajectory(_sample_steps(config)[:kept] * config.dt, records[0, :kept, :n].copy(),
+                      records[0, :kept, n:-1].copy(), config, bool(diverged[0]))
 
 
-def simulate_scalar_grid(a, b, k, variance, g, alpha, config: CouplingConfig) -> Iterator[Trajectory]:
-    """Deterministic per-step runs of scalar systems given as columns: row i
-    is ``simulate`` of the plant (a[i], b[i]) under the policy
-    (k[i], variance[i]) and the diffusion (g[i], alpha[i]), with the step
-    count, dt, stride and start of ``config``. All rows compile in one call
-    and roll out in batches of bounded memory.
+def simulate_scalar_grid(a, b, k, variance, g, alpha, config: CouplingConfig):
+    """Empirical verdicts of deterministic per-step runs of scalar systems
+    given as columns: row i is ``classify_empirical(simulate(...))`` of the
+    plant (a[i], b[i]) under the policy (k[i], variance[i]) and the
+    diffusion (g[i], alpha[i]), with the step count, dt, stride and start of
+    ``config``. Returns the columns (label, rate, residual); a row diverged
+    exactly when its rate is +inf.
 
-    A row's samples match its one-run ``simulate`` up to rounding: a batch
-    advances its live rows by the smallest usable power count among them,
-    so the last bits depend on which rows share the batch.
+    All rows compile in one call and roll out in batches of bounded memory,
+    through the rollout of ``simulate``. A row keeps only the joint norms of
+    the trailing half of its samples, which the fit reads, and whether it
+    diverged; no trajectory is built. Each batch is fitted in one
+    vectorized pass, the rule of :func:`classify_empirical`. A row's rate
+    and residual match its one-run verdict up to rounding: a batch advances
+    its live rows by the smallest usable power count among them, so the
+    last bits depend on which rows share the batch.
     """
-    config = replace(config, mode=CouplingMode.PER_STEP)
     _check_start(config, 1, 1)
     step_mat, step_off, _ = _step_maps(
         CouplingMode.PER_STEP, _column(a), _column(b), _column(k), _column(1.0 / variance),
         config.dt, g, alpha,
     )
-    # A row holds its records and a table of _BLOCK powers of its 3 x 3
-    # homogeneous map, and a batch stops growing once it reaches
-    # _BATCH_FLOATS floats.
-    row_floats = (config.n_steps // config.record_stride + 2 + _BLOCK * 2) * 3
+    # A row holds the norms of its trailing samples and, per power of its
+    # 3 x 3 homogeneous map in the table, that power and one sample; a batch
+    # stops growing once it reaches _BATCH_FLOATS floats.
+    times = _sample_steps(config) * config.dt
+    row_floats = times.size - times.size // 2 + _BLOCK * (9 + 3)
     rows = max(1, -(-_BATCH_FLOATS // row_floats))
+    columns = []
     for first in range(0, step_mat.shape[0], rows):
-        maps = step_mat[first : first + rows]
-        yield from _rollout(maps, step_off[first : first + rows], None, config)
+        _, diverged, tails = _rollout(step_mat[first : first + rows],
+                                      step_off[first : first + rows], None, config, tail=True)
+        columns.append(_fit_rows(times, tails, diverged))
+    return tuple(np.concatenate(column) for column in zip(*columns))
 
 
 def _compile(
@@ -292,12 +309,25 @@ def _step_maps(
     return step_mat, step_off, np.concatenate([through_new @ w_mat, w_mat], axis=1)
 
 
-def _rollout(step_mat, step_off, noise, config: CouplingConfig) -> Iterator[Trajectory]:
-    """Roll out a batch of compiled runs of one shape; yield trajectories.
+def _sample_steps(config: CouplingConfig) -> np.ndarray:
+    """The plant step of each recorded sample, as floats: 0, every stride-th
+    step and the final step."""
+    steps, stride = config.n_steps, config.record_stride
+    return np.concatenate([[0.0], np.arange(stride, steps + 1, stride),
+                           [steps] if steps % stride else []])
+
+
+def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = False):
+    """Roll out a batch of compiled runs of one shape.
 
     Row r is the map (step_mat[r], step_off[r], noise[r]); every row starts
     from ``config``'s (e0, u0) and takes its step count, stride and dt. A
     noisy batch is one run, which draws from the stream of ``config.seed``.
+    Returns, per row, how many samples it recorded, whether it diverged and
+    what it kept of its S samples (see :func:`_sample_steps`): the
+    homogeneous joint states (z, 1) (B x S x D+1), or with ``tail`` the
+    joint norms of samples S // 2 onward (B x S - S // 2), which is all
+    the rate fit reads. A row keeps junk past its last sample.
 
     The maps act on homogeneous rows (z, 1), so z M^T + c is one matmul by
     H. Rows advance in spans of plant steps, a block of up to ``_BLOCK``
@@ -345,30 +375,50 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig) -> Iterator[Traj
     if 0 < fits.sum() < count:
         # Noiseless rows are independent: the rows of each span roll out apart.
         parts = np.flatnonzero(fits), np.flatnonzero(~fits)
-        runs = [run for p in parts for run in _rollout(step_mat[p], step_off[p], None, config)]
-        yield from (runs[i] for i in np.argsort(np.concatenate(parts)))
-        return
-    z0, blow = np.concatenate([config.e0, config.u0, [1.0]]), BLOWUP_FACTOR * (1.0 + e0_norm[0])
-    ks = np.concatenate([[0.0], np.arange(stride, steps + 1, stride),
-                         [steps] if steps % stride else []])
-    records = np.empty((count, ks.size, dim + 1))
-    records[:, 0] = z0
+        runs = [_rollout(step_mat[p], step_off[p], None, config, tail) for p in parts]
+        order = np.argsort(np.concatenate(parts))
+        return tuple(np.concatenate(column)[order] for column in zip(*runs))
+    z0 = np.concatenate([config.e0, config.u0, [1.0]])
+    ks = _sample_steps(config)
+    start = ks.size // 2 if tail else 0
+    kept = np.empty((count, ks.size - start) + (() if tail else (dim + 1,)))
     counts = np.full(count, ks.size)
     diverged = np.zeros(count, dtype=bool)
     rng = RngStream(config.seed) if width else None
 
-    def keep(rows, block, first):
-        """Stop each row whose samples (block[i] is record first + i) blow
-        up; return the mask of rows that keep running."""
+    def keep(samples, first):
+        """Stop each live row whose samples (samples[:, i] is record
+        first + i) blow up."""
+        rows = np.flatnonzero(live)
+        block = samples[rows]
         e_u = block[..., :n], block[..., n:dim]
         norms = [_rescale_overflow(np.sqrt(np.sum(v ** 2, axis=-1)), v) for v in e_u]
-        bad = ~np.isfinite(block).all(axis=-1) | (np.maximum(*norms) > blow)
+        # A sample blows up past blow or on a non-finite entry. A NaN in e or
+        # u makes its norm NaN and an inf makes it inf, and neither is within
+        # a finite blow; the homogeneous 1, and every entry when blow is
+        # infinite, are checked apart.
+        unchecked = block[..., dim:] if math.isfinite(blow) else block
+        bad = ~(np.maximum(*norms) <= blow) | ~np.isfinite(unchecked).all(axis=-1)
         hit = bad.any(axis=1)
         counts[rows[hit]] = first + 1 + bad[hit].argmax(axis=1)
         diverged[rows[hit]] = True
-        return ~hit
+        live[rows[hit]] = False
+
+    def write(first, samples):
+        """Keep what ``tail`` asks of records first, first + 1, ... of every
+        row (samples[:, i] is record first + i)."""
+        stop = first + samples.shape[1]
+        if not tail:
+            kept[:, first:stop] = samples
+        elif stop > start:
+            skip = max(start - first, 0)
+            kept[:, first + skip - start : stop - start] = _joint_norms(
+                samples[:, skip:, :n], samples[:, skip:, n:dim]
+            )
 
     with np.errstate(over="ignore", invalid="ignore"):
+        blow = BLOWUP_FACTOR * (1.0 + e0_norm[0])
+        write(0, np.broadcast_to(z0, (count, 1, dim + 1)))
         if not fits.all():
             length = max(_BLOCK, _BATCH_FLOATS // (count * (dim + 1) ** 2))
             span, table = 1, _power_table(hom, min(steps, length))
@@ -387,7 +437,6 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig) -> Iterator[Traj
             main = done < full
             size = max(1, int(min(full - done, usable[live].min()))) if main else 1
             block = np.matmul(z[:, None, None], table[:, :size] if main else last[:, None])[:, :, 0]
-            rows = np.flatnonzero(live)
             if width:
                 # Each span's own draws, then those of earlier spans carried
                 # forward by a doubling scan over the powers.
@@ -401,18 +450,14 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig) -> Iterator[Traj
                 block += kicked
             stop = first + size if dense else int(np.searchsorted(ends, done + size, "right"))
             samples = block if dense else block[:, ends[first:stop] - done - 1]
-            records[:, first:stop] = samples
+            write(first, samples)
             if stop > first:
-                live[rows[~keep(rows, samples[rows], first)]] = False
+                keep(samples, first)
             if width:  # take the draws up to the last sample kept
                 rng.standard_normal(min(size, ends[counts[0] - 1] - done) * per)
             z = np.where(live[:, None], block[:, -1], 0.0)
             done, first = done + size, stop
-
-    for row in range(count):
-        kept = counts[row]
-        yield Trajectory(ks[:kept] * config.dt, records[row, :kept, :n].copy(),
-                         records[row, :kept, n:dim].copy(), config, bool(diverged[row]))
+    return counts, diverged, kept
 
 
 def _kicks(hom, noise, steps: int) -> np.ndarray:
@@ -431,6 +476,16 @@ def _kicks(hom, noise, steps: int) -> np.ndarray:
         filled += more
         power = power @ power
     return mapped[:, ::-1].reshape(count, -1, size)
+
+
+def _joint_norms(states, actions) -> np.ndarray:
+    """Norms of the stacked (e, u) vectors along the last axis, as
+    sqrt(|e|^2 + |u|^2); see :func:`_rescale_overflow` for norms that
+    overflow."""
+    norms = np.sqrt(np.sum(states * states, axis=-1) + np.sum(actions * actions, axis=-1))
+    if np.isinf(norms).any():
+        norms = _rescale_overflow(norms, np.concatenate([states, actions], axis=-1))
+    return norms
 
 
 def _rescale_overflow(norms, vectors) -> np.ndarray:
@@ -462,49 +517,78 @@ def _power_table(mats, length: int) -> np.ndarray:
 
 def _leading_capped(table) -> np.ndarray:
     """Per row of a power table, how many leading powers are finite with
-    every entry within ``_POWER_CAP``."""
-    ok = (table.max(axis=(2, 3)) <= _POWER_CAP) & (table.min(axis=(2, 3)) >= -_POWER_CAP)
-    return np.where(ok.all(axis=1), ok.shape[1], ok.argmin(axis=1))
+    every entry within ``_POWER_CAP``: the power holding a row's first
+    entry past the cap, or NaN, in row-major order."""
+    count, length, size = table.shape[:3]
+    bad = ~(np.abs(table.reshape(count, -1)) <= _POWER_CAP)
+    return np.where(bad.any(axis=1), bad.argmax(axis=1) // (size * size), length)
 
 
 def classify_empirical(traj: Trajectory) -> EmpiricalVerdict:
     """Classify a rollout by the least-squares slope of log|(e, u)| over the
-    trailing half of its samples.
+    trailing half of its samples: the one-row case of :func:`_fit_rows`.
 
     Diverged trajectories short-circuit to unstable with rate = +inf.
     Trajectories whose trailing norms all sit below the fit floor (including
     the all-zero trajectory) are stable with rate = -inf.
     """
-    if traj.diverged:
-        return EmpiricalVerdict(rate=math.inf, label="unstable", residual=0.0)
-    n_samples = len(traj)
-    if n_samples < _MIN_STEPS:
+    tail = np.empty((1, 0)) if traj.diverged else traj.joint_norms()[None, len(traj) // 2 :]
+    label, rate, residual = _fit_rows(traj.times, tail, np.array([traj.diverged]))
+    return EmpiricalVerdict(rate=float(rate[0]), label=str(label[0]), residual=float(residual[0]))
+
+
+def _fit_rows(times, tails, diverged) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The verdicts of rows of runs recorded at ``times``, as the columns
+    (label, rate, residual): row r's rate is the least-squares slope of log
+    ``tails[r]``, the joint norms of its samples times.size // 2 onward,
+    over their times, and its residual the RMS of that line's misfit.
+    ``tails`` is overwritten.
+
+    A diverged row is unstable with rate = +inf, whatever its tail holds.
+    Samples with a norm below the fit floor are left out of the fit; a row
+    with fewer than two left is stable with rate = -inf. Rows whose every
+    sample enters the fit are fitted together, each reduction along a row
+    as on one run, so a row's verdict does not depend on the others.
+    """
+    rate = np.where(diverged, math.inf, -math.inf)
+    residual = np.zeros(rate.shape)
+    if not diverged.all() and times.size < _MIN_STEPS:
         raise ParameterError(
             f"classification needs at least {_MIN_STEPS} recorded samples, "
-            f"got {n_samples}"
+            f"got {times.size}"
         )
-    norms = traj.joint_norms()
-    start = n_samples // 2
-    t_tail = traj.times[start:]
-    n_tail = norms[start:]
-    usable = n_tail >= _NORM_FLOOR
-    if int(usable.sum()) < 2:
-        return EmpiricalVerdict(rate=-math.inf, label="stable", residual=0.0)
-    t_fit = t_tail[usable]
-    y_fit = np.log(n_tail[usable])
-    t_mean = float(t_fit.mean())
-    y_mean = float(y_fit.mean())
-    t_var = float(np.sum((t_fit - t_mean) ** 2))
-    slope = float(np.sum((t_fit - t_mean) * (y_fit - y_mean)) / t_var)
-    resid = y_fit - (y_mean + slope * (t_fit - t_mean))
-    residual = float(np.sqrt(np.mean(resid * resid)))
-    if slope < -RATE_DEADBAND:
-        label = "stable"
-    elif slope > RATE_DEADBAND:
-        label = "unstable"
-    else:
-        label = "marginal"
-    return EmpiricalVerdict(rate=slope, label=label, residual=residual)
+    t = times[times.size // 2 :]
+    usable = tails >= _NORM_FLOOR
+    whole = ~diverged & usable.all(axis=1)
+    for row in np.flatnonzero(~diverged & ~whole):
+        mask = usable[row]
+        if mask.sum() >= 2:
+            (rate[row],), (residual[row],) = _line_fits(t[mask], np.log(tails[row, mask])[None])
+    if whole.any():
+        # Fit every row in place; a row not fitted whole is log 1 = 0 and dropped.
+        tails[~whole] = 1.0
+        slope, misfit = _line_fits(t, np.log(tails, out=tails))
+        rate[whole], residual[whole] = slope[whole], misfit[whole]
+    label = np.where(rate < -RATE_DEADBAND, "stable",
+                     np.where(rate > RATE_DEADBAND, "unstable", "marginal"))
+    return label, rate, residual
+
+
+def _line_fits(t, y) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slope of each row of y (R x T) against t (T), and the
+    RMS residual of each fitted line, through one R x T scratch array.
+    Each product and sum is the one of the textbook formula with its
+    operands swapped, which IEEE arithmetic rounds the same."""
+    centered = t - t.mean()
+    y_mean = y.mean(axis=1, keepdims=True)
+    work = y - y_mean
+    work *= centered
+    slope = work.sum(axis=1) / np.sum(centered ** 2)
+    np.multiply(slope[:, None], centered, out=work)
+    work += y_mean
+    np.subtract(y, work, out=work)
+    work *= work
+    return slope, np.sqrt(work.mean(axis=1))
 
 
 def full_vs_partial_compare(

@@ -62,19 +62,28 @@ def as_whole(value, name: str) -> int:
     raise ParameterError(f"{name} must be a whole number, got {value!r}")
 
 
-def _holds_bool(values) -> bool:
-    """Whether a (regular, nested) list or tuple holds a bool, which numpy
-    would upcast to a number when it shares the list with numbers."""
-    return not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat))
+def _first_bool(values):
+    """The first bool in a (regular, nested) list or tuple, or None: numpy
+    would upcast it to a number when it shares the list with numbers."""
+    entries = np.asarray(values, dtype=object)
+    if {bool, np.bool_}.isdisjoint(map(type, entries.flat)):
+        return None
+    return next(v for v in entries.flat if isinstance(v, (bool, np.bool_)))
 
 
 def _float_array(values, name: str) -> np.ndarray:
     """``values`` as a float64 array; ParameterError unless its entries are
-    integers or reals (bools, strings and objects are refused). Only lists
-    and tuples are walked for bools; an array's dtype speaks for it."""
-    a = np.asarray(values)
-    if a.dtype.kind not in "iuf" or (isinstance(values, (list, tuple)) and _holds_bool(values)):
+    integers or reals (bools, strings and objects are refused) in a
+    rectangular shape. Only lists and tuples are walked for bools; an
+    array's dtype speaks for it."""
+    try:
+        a = np.asarray(values)
+    except ValueError:
+        raise ParameterError(f"{name} must be a rectangular array of numbers") from None
+    if a.dtype.kind not in "iuf":
         raise ParameterError(f"{name} must hold numbers, got dtype {a.dtype}")
+    if isinstance(values, (list, tuple)) and (flag := _first_bool(values)) is not None:
+        raise ParameterError(f"{name} must hold numbers, got {bool(flag)!r}")
     return a.astype(float, copy=False)
 
 

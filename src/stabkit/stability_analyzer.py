@@ -28,7 +28,6 @@ from . import matrixkit
 from .coupled_sim import (
     CouplingConfig,
     CouplingMode,
-    classify_empirical,
     simulate_scalar_grid,
 )
 from .errors import DimensionError, NonFiniteError, ParameterError
@@ -439,11 +438,13 @@ def sweep_region(
     columns.
 
     With ``empirical``, every cell also gets the verdict of a deterministic
-    per-step simulation of its scalar system; the cells are compiled
-    together and rolled out in batches. The runs take dt, horizon, e0, u0
-    and record_stride from ``sim_config`` and ignore its mode and seed: no
-    run draws noise, so nothing depends on a seed, and no drift or
-    inner-loop setting applies.
+    per-step simulation of its scalar system, from
+    :func:`~stabkit.coupled_sim.simulate_scalar_grid`: the cells are
+    compiled together, rolled out in batches and fitted as columns, with
+    no per-cell trajectory or ``classify_empirical`` call. The runs take
+    dt, horizon, e0, u0 and record_stride from ``sim_config`` and ignore
+    its mode and seed: no run draws noise, so nothing depends on a seed,
+    and no drift or inner-loop setting applies.
 
     A cell that a one-cell evaluation refuses (``analytic_1d``, or with
     ``empirical`` the cell's policy) raises that evaluation's error; the
@@ -482,17 +483,11 @@ def sweep_region(
     )
     if not empirical:
         return grid
-    runs = simulate_scalar_grid(
+    label, rate, residual = simulate_scalar_grid(
         params["A"], params["B"], params["K"], variance, g, alpha,
         sim_config if sim_config is not None else DEFAULT_SWEEP_SIM,
     )
-    verdicts = [classify_empirical(trajectory) for trajectory in runs]
-    return replace(
-        grid,
-        empirical_label=np.array([v.label for v in verdicts]),
-        empirical_rate=np.array([v.rate for v in verdicts]),
-        empirical_residual=np.array([v.residual for v in verdicts]),
-    )
+    return replace(grid, empirical_label=label, empirical_rate=rate, empirical_residual=residual)
 
 
 def _policy_variance(sigma: np.ndarray) -> np.ndarray:

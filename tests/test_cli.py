@@ -363,6 +363,8 @@ class TestConfigTypes:
         if key in ("A", "e0", "drift"):  # arrays: the message names the dtype
             name = "plant A" if key == "A" else key
             message = f"{name} must hold numbers, got dtype {np.asarray(value).dtype}"
+            if np.asarray(value).dtype == np.float64:  # a bool among numbers is named
+                message = f"{name} must hold numbers, got True"
         else:
             kinds = {"stochastic": "true or false", "inner_steps": "a whole number",
                      "record_stride": "a whole number", "seed": "a whole number"}
@@ -380,6 +382,28 @@ class TestConfigTypes:
         code = cli.main(["simulate", "-c", str(path)])
         err = capsys.readouterr().err
         assert (code, err) == (2, "error: coupling: horizon/dt = inf steps is not finite\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_huge_step_count_is_refused(self, tmp_path, capsys):
+        # finite, but past 2**53 steps, where float step indices stop being exact
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["coupling"]["horizon"] = 1e300
+        doc["output"] = {"trajectory": str(tmp_path / "t.csv")}
+        code, err = self.simulate(tmp_path, capsys, doc)
+        assert (code, err) == (2, "error: coupling: horizon/dt = 1e+303 steps is more than "
+                                  "2**53, past which step indices are not exact floats\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, name",
+        [("coupling", "e0", [1.0, [2.0]], "e0"), ("plant", "A", [[1.0], [1.0, 2.0]], "plant A")],
+    )
+    def test_ragged_array_is_refused(self, tmp_path, capsys, section, key, value, name):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[section][key] = value
+        doc["output"] = {"trajectory": str(tmp_path / "t.csv")}
+        code, err = self.simulate(tmp_path, capsys, doc)
+        assert (code, err) == (2, f"error: {section}: {name} must be a rectangular array of numbers\n")
         assert not (tmp_path / "t.csv").exists()
 
     def test_integer_beyond_float_range_is_refused(self, tmp_path, capsys):

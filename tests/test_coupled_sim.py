@@ -57,6 +57,12 @@ class TestCouplingConfig:
         with pytest.raises(ParameterError, match=f"{field} must be a number"):
             config("inner-loop", **{field: value})
 
+    def test_rejects_step_count_past_2_53(self):
+        # float step indices are exact up to 2**53
+        CouplingConfig(mode="per-step", dt=1.0, horizon=2.0**53, e0=[1.0], u0=[0.0])
+        with pytest.raises(ParameterError, match=r"horizon/dt = 1.8e\+16 steps is more than 2\*\*53"):
+            CouplingConfig(mode="per-step", dt=1.0, horizon=2.0**54, e0=[1.0], u0=[0.0])
+
     def test_accepts_numpy_scalars_and_whole_floats(self):
         cfg = config("per-step", dt=np.float64(0.5), record_stride=7.0, seed=np.int64(3))
         assert (cfg.dt, cfg.record_stride, cfg.seed) == (0.5, 7, 3)
@@ -393,6 +399,21 @@ class TestRollout:
             moved = simulate(DEMO_PLANT, unstable, DET_DIFFUSION, replace(cfg, e0=[1e-6]))
             assert moved.diverged
 
+    @pytest.mark.parametrize("stride, samples", [(1, 1048), (5, 211)])
+    def test_huge_start_stops_at_first_infinite_sample(self, stride, samples):
+        # |e0| = 1e300 puts the blow-up threshold at inf: the run must stop at
+        # the sample whose state first overflows, and the grid must agree
+        cfg = config("per-step", dt=1e-2, e0=[1e300], record_stride=stride)
+        growing = ExpertPolicy(K=0.5, Sigma=[[1.0]])
+        traj = simulate(DEMO_PLANT, growing, DET_DIFFUSION, cfg)
+        assert traj.diverged and len(traj) == samples
+        assert np.isfinite(traj.states[:-1]).all() and np.isinf(traj.states[-1, 0])
+        assert classify_empirical(traj).rate == math.inf
+        _, rate, _ = coupled_sim.simulate_scalar_grid(
+            np.array([2.0]), np.array([1.0]), np.array([0.5]), np.array([1.0]), 1.0, 1.0, cfg
+        )
+        assert rate.tolist() == [math.inf]
+
     @pytest.mark.parametrize("stride", [1, 7, 3000])
     def test_stride_does_not_change_samples(self, stride):
         cfg = config("per-step", dt=1e-2, record_stride=stride)
@@ -591,18 +612,65 @@ class TestSimulateScalarGrid:
             mode="inner-loop", dt=0.01, horizon=5.0, e0=[1.0], u0=[0.2], seed=3,
             record_stride=3,
         )
-        grid = list(coupled_sim.simulate_scalar_grid(a, b, k, variance, g, alpha, cfg))
-        assert len(grid) == a.size
-        for i, traj in enumerate(grid):
+        label, rate, residual = coupled_sim.simulate_scalar_grid(
+            a, b, k, variance, g, alpha, cfg
+        )
+        assert label.shape == rate.shape == residual.shape == a.shape
+        expected = []
+        for i in range(a.size):
             single = simulate(
                 PlantModel(A=[[a[i]]], B=[[b[i]]], setpoint=[0.0]),
                 ExpertPolicy(K=[[k[i]]], Sigma=[[variance[i]]]),
                 DiffusionParams(g=g[i], alpha=alpha[i]),
                 replace(cfg, mode="per-step"),
             )
-            assert traj.config.mode is CouplingMode.PER_STEP
-            assert traj.diverged == single.diverged
-            np.testing.assert_array_equal(traj.times, single.times)
-            np.testing.assert_allclose(traj.states, single.states, rtol=1e-12, atol=1e-300)
-            np.testing.assert_allclose(traj.actions, single.actions, rtol=1e-12, atol=1e-300)
-        assert [traj.diverged for traj in grid].count(True) == 1
+            expected.append((classify_empirical(single), single.diverged))
+        assert label.tolist() == [v.label for v, _ in expected]
+        assert (rate == np.inf).tolist() == [d for _, d in expected]
+        tol = 16 * np.finfo(float).eps
+        np.testing.assert_allclose(rate, [v.rate for v, _ in expected], rtol=tol, atol=tol)
+        np.testing.assert_allclose(residual, [v.residual for v, _ in expected], rtol=tol, atol=tol)
+        assert (rate == np.inf).sum() == 1
+
+    @pytest.mark.parametrize("samples", [301, 20001])
+    def test_batched_fit_matches_one_run_fit(self, samples):
+        # the batched fit must give each row the bits of the one-run rule,
+        # written out below as the one-run formula on the usable samples
+        def one_run(times, norms):
+            start = times.size // 2
+            usable = norms[start:] >= coupled_sim._NORM_FLOOR
+            if usable.sum() < 2:
+                return -math.inf, 0.0
+            t, y = times[start:][usable], np.log(norms[start:][usable])
+            t_mean, y_mean = float(t.mean()), float(y.mean())
+            slope = float(np.sum((t - t_mean) * (y - y_mean)) / np.sum((t - t_mean) ** 2))
+            resid = y - (y_mean + slope * (t - t_mean))
+            return slope, float(np.sqrt(np.mean(resid * resid)))
+
+        rng = np.random.default_rng(samples)
+        times = np.linspace(0.0, 10.0, samples)
+        rates = np.array([-3.0, 0.5, -0.01, 1e-3, -40.0, 2.0, -2.0, 0.0])
+        states = np.exp(rates[:, None] * times + rng.normal(0.0, 0.3, (rates.size, samples)))
+        states[4, -5:] = 0.0  # the fastest decay ends with five samples below the floor
+        states[6, samples // 2 + 1 :] = 1e-310  # one usable sample
+        states[7] = 0.0  # none
+        diverged = np.zeros(rates.size, dtype=bool)
+        diverged[5] = True
+        states[5, -3:] = np.nan  # a diverged row's tail is not read
+        runs = [coupled_sim.Trajectory(times, row[:, None], np.zeros((samples, 1)), None, bool(d))
+                for row, d in zip(states, diverged)]
+        norms = np.array([run.joint_norms() for run in runs])
+        usable = (norms[:, samples // 2 :] >= coupled_sim._NORM_FLOOR).sum(axis=1)
+        assert 2 <= usable[4] < samples - samples // 2 and usable[6] == 1 and usable[7] == 0
+        label, rate, residual = coupled_sim._fit_rows(
+            times, norms[:, samples // 2 :].copy(), diverged
+        )
+        for row, run in enumerate(runs):
+            expected = (math.inf, 0.0) if diverged[row] else one_run(times, norms[row])
+            assert (rate[row], residual[row]) == expected
+            # classify_empirical is the one-row case
+            verdict = classify_empirical(run)
+            assert (verdict.label, verdict.rate, verdict.residual) == (
+                label[row], rate[row], residual[row]
+            )
+        assert label.tolist()[4:] == ["stable", "unstable", "stable", "stable"]

@@ -698,3 +698,44 @@ class TestGridEmpiricalParity:
         np.testing.assert_allclose(grid.empirical_rate, rates, rtol=RATE_TOL, atol=RATE_TOL)
         np.testing.assert_allclose(grid.empirical_residual, residuals, rtol=RATE_TOL, atol=RATE_TOL)
         assert grid.empirical_rate.shape == grid.empirical_residual.shape == (len(grid),)
+
+    def test_empirical_sweep_builds_no_trajectory(self, monkeypatch):
+        # the grid is fitted from columns: no per-cell trajectory or verdict
+        calls = {"classify": 0, "trajectory": 0}
+        classify, trajectory = coupled_sim.classify_empirical, coupled_sim.Trajectory
+
+        def counted_classify(traj):
+            calls["classify"] += 1
+            return classify(traj)
+
+        def counted_trajectory(*args, **kwargs):
+            calls["trajectory"] += 1
+            return trajectory(*args, **kwargs)
+
+        monkeypatch.setattr(coupled_sim, "classify_empirical", counted_classify)
+        monkeypatch.setattr(coupled_sim, "Trajectory", counted_trajectory)
+        sim = CouplingConfig(
+            mode="per-step", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0], record_stride=4,
+        )
+        grid = sweep_region(self.BASE, AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6),
+                            empirical=True, sim_config=sim)
+        assert len(grid) == 36 and math.inf in grid.empirical_rate.tolist()
+        assert calls == {"classify": 0, "trajectory": 0}
+        # the counters do see a one-run verdict
+        coupled_sim.classify_empirical(coupled_sim.simulate(
+            PlantModel(A=[[2.0]], B=[[1.0]], setpoint=[0.0]),
+            ExpertPolicy(K=[[3.0]], Sigma=[[0.25]]), DiffusionParams(g=1.0, alpha=1.0), sim,
+        ))
+        assert calls == {"classify": 1, "trajectory": 1}
+
+    def test_zero_start_is_stable_on_every_cell(self):
+        # the exact zero equilibrium stays zero even where K' dt reaches 1e30
+        # and the stride-25 maps pass the power cap
+        sim = CouplingConfig(
+            mode="per-step", dt=1e-2, horizon=10.0, e0=[0.0], u0=[0.0], record_stride=25,
+        )
+        grid = sweep_region(self.BASE, AxisSpec("A", -1.0, 3.0, 5), AxisSpec("kprime", 1.0, 1e32, 7),
+                            empirical=True, sim_config=sim)
+        assert grid.empirical_label.tolist() == ["stable"] * len(grid)
+        assert grid.empirical_rate.tolist() == [-math.inf] * len(grid)
+        assert grid.empirical_residual.tolist() == [0.0] * len(grid)
