@@ -187,14 +187,8 @@ def _config_echo_svg(config: RunConfig) -> str:
     return "<!-- config=" + json.dumps(config.effective, sort_keys=True) + " -->\n"
 
 
-def _jnum(value: float):
-    if math.isfinite(value):
-        return value
-    if value > 0:
-        return "inf"
-    if value < 0:
-        return "-inf"
-    return "nan"
+def _jnum(value: float):  # inf, -inf and nan have no JSON number: write their str()
+    return value if math.isfinite(value) else str(value)
 
 
 def _empirical_dict(verdict: EmpiricalVerdict) -> dict:

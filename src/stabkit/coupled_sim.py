@@ -26,6 +26,7 @@ fits every cell in one vectorized pass.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -133,11 +134,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.times.shape[0]
-
-    def joint_norms(self) -> np.ndarray:
-        """Euclidean norm of the stacked (e, u) vector per sample."""
-        with np.errstate(over="ignore"):
-            return _joint_norms(self.states, self.actions)
 
 
 @dataclass(frozen=True)
@@ -313,8 +309,20 @@ def _sample_steps(config: CouplingConfig) -> np.ndarray:
     """The plant step of each recorded sample, as floats: 0, every stride-th
     step and the final step."""
     steps, stride = config.n_steps, config.record_stride
-    return np.concatenate([[0.0], np.arange(stride, steps + 1, stride),
-                           [steps] if steps % stride else []])
+    with _fits_in_memory(config):
+        return np.concatenate([[0.0], np.arange(stride, steps + 1, stride),
+                               [steps] if steps % stride else []])
+
+
+@contextmanager
+def _fits_in_memory(config: CouplingConfig):
+    """Refuse a run whose sample indices or records memory cannot hold."""
+    try:
+        yield
+    except MemoryError:
+        steps, stride = config.n_steps, config.record_stride
+        raise ParameterError(f"horizon/dt = {steps} steps at record_stride {stride} give "
+                             f"{-(-steps // stride) + 1} samples, more than memory holds") from None
 
 
 def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = False):
@@ -348,11 +356,9 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = Fal
     is at least one step even when H passes the cap. A batch whose rows
     need both spans rolls out the rows of each span apart.
 
-    Draw contract: a block reads its draws with ``RngStream.peek``, which
-    does not advance the stream, then takes through ``standard_normal``
-    exactly the draws up to the last sample it keeps, the one that diverged
-    if any. A seed keeps its draws, in the order ``full_denoise`` takes
-    them, and a stopped row draws nothing past its last sample.
+    Draws: a noisy block takes its draws in one ``standard_normal`` call, in
+    the order ``full_denoise`` takes them; a run that diverges mid block has
+    drawn its whole block, and nothing reads the draws past its last sample.
     """
     count, dim = step_mat.shape[:2]
     steps, stride, n = config.n_steps, config.record_stride, config.e0.shape[0]
@@ -381,7 +387,8 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = Fal
     z0 = np.concatenate([config.e0, config.u0, [1.0]])
     ks = _sample_steps(config)
     start = ks.size // 2 if tail else 0
-    kept = np.empty((count, ks.size - start) + (() if tail else (dim + 1,)))
+    with _fits_in_memory(config):
+        kept = np.empty((count, ks.size - start) + (() if tail else (dim + 1,)))
     counts = np.full(count, ks.size)
     diverged = np.zeros(count, dtype=bool)
     rng = RngStream(config.seed) if width else None
@@ -441,7 +448,7 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = Fal
                 # Each span's own draws, then those of earlier spans carried
                 # forward by a doubling scan over the powers.
                 per = (span if main else rem) * width
-                xi = rng.peek(size * per).reshape(1, size, per)
+                xi = rng.standard_normal(size * per).reshape(1, size, per)
                 kicked = np.matmul(xi, kicks[:, kicks.shape[1] - per :])
                 lag = 1
                 while lag < size:
@@ -453,8 +460,6 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = Fal
             write(first, samples)
             if stop > first:
                 keep(samples, first)
-            if width:  # take the draws up to the last sample kept
-                rng.standard_normal(min(size, ends[counts[0] - 1] - done) * per)
             z = np.where(live[:, None], block[:, -1], 0.0)
             done, first = done + size, stop
     return counts, diverged, kept
@@ -532,7 +537,9 @@ def classify_empirical(traj: Trajectory) -> EmpiricalVerdict:
     Trajectories whose trailing norms all sit below the fit floor (including
     the all-zero trajectory) are stable with rate = -inf.
     """
-    tail = np.empty((1, 0)) if traj.diverged else traj.joint_norms()[None, len(traj) // 2 :]
+    half = len(traj) // 2
+    with np.errstate(over="ignore"):
+        tail = _joint_norms(traj.states[None, half:], traj.actions[None, half:])
     label, rate, residual = _fit_rows(traj.times, tail, np.array([traj.diverged]))
     return EmpiricalVerdict(rate=float(rate[0]), label=str(label[0]), residual=float(residual[0]))
 

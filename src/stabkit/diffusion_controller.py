@@ -64,36 +64,16 @@ class DiffusionParams:
 class RngStream:
     """Seeded, single-owner stream of standard normal draws.
 
-    Identical seeds yield bit-identical sample sequences. One stream per
-    trajectory; never share a stream between concurrent workers.
-    ``peek(size)`` returns the draws ``standard_normal(size)`` would
-    return next, without taking them; a ``standard_normal(size)`` right
-    after it returns those draws instead of generating them again.
+    Identical seeds yield bit-identical draws, however the takes split them.
+    One stream per trajectory; never share a stream between concurrent workers.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _SEED_MASK
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        self._shadow = None
-        self._peeked = None
 
     def standard_normal(self, size=None):
-        peeked, self._peeked = self._peeked, None
-        if peeked is not None and size == peeked.size:
-            # The shadow generator holds the state after the peeked draws.
-            self._gen, self._shadow = self._shadow, self._gen
-            return peeked
         return self._gen.standard_normal(size)
-
-    def peek(self, size: int) -> np.ndarray:
-        """The next ``size`` draws of ``standard_normal``, read from a copy of
-        the stream's state: the stream itself does not advance. The result
-        is the array a following take of the same size returns."""
-        if self._shadow is None:
-            self._shadow = np.random.Generator(np.random.PCG64(0))
-        self._shadow.bit_generator.state = self._gen.bit_generator.state
-        self._peeked = self._shadow.standard_normal(size)
-        return self._peeked
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed})"

@@ -89,11 +89,28 @@ class EffectiveGain:
     def from_covariance(cls, g: float, alpha: float, Sigma) -> "EffectiveGain":
         g, alpha = float(g), float(alpha)
         _check_positive(g=g, alpha=alpha)
-        sigma = matrixkit.check_symmetric(Sigma, "Sigma")
-        if not matrixkit.is_positive_definite(sigma):
-            raise ParameterError("Sigma must be positive definite")
-        precision = g * g * alpha * matrixkit.invert(sigma)
+        precision = g * g * alpha * _covariance_inverse(Sigma)
         return cls(matrixkit.symmetric_part(precision))
+
+
+def _covariance_inverse(Sigma) -> np.ndarray:
+    sigma = matrixkit.check_symmetric(Sigma, "Sigma")
+    if not matrixkit.is_positive_definite(sigma):
+        raise ParameterError("Sigma must be positive definite")
+    return matrixkit.invert(sigma)
+
+
+def _square_system(A, B, K):
+    """(A, B, K) as matrices of an N-D system with square invertible B."""
+    a = matrixkit.require_square(A, "A")
+    b = matrixkit.require_square(B, "B")
+    k = matrixkit.as_matrix(K, "K")
+    if b.shape[0] != a.shape[0]:
+        raise DimensionError("A and B must have matching row counts")
+    if k.shape != (b.shape[1], a.shape[0]):
+        raise DimensionError(f"K must be {b.shape[1]}x{a.shape[0]}, got {k.shape}")
+    matrixkit.invert(b)  # raises SingularMatrixError when not invertible
+    return a, b, k
 
 
 def _check_positive(**values: float):
@@ -234,18 +251,8 @@ def second_order_coefficients(A, B, K, Sigma) -> tuple[np.ndarray, np.ndarray]:
     Requires square invertible B (the elevation substitutes
     u = B^{-1}(e' - A e)) and symmetric positive definite Sigma.
     """
-    a = matrixkit.require_square(A, "A")
-    b = matrixkit.require_square(B, "B")
-    k = matrixkit.as_matrix(K, "K")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError("A and B must have matching row counts")
-    if k.shape != (b.shape[1], a.shape[0]):
-        raise DimensionError(f"K must be {b.shape[1]}x{a.shape[0]}, got {k.shape}")
-    matrixkit.invert(b)  # raises SingularMatrixError when not invertible
-    sigma = matrixkit.check_symmetric(Sigma, "Sigma")
-    if not matrixkit.is_positive_definite(sigma):
-        raise ParameterError("Sigma must be positive definite")
-    sigma_inv = matrixkit.invert(sigma)
+    a, b, k = _square_system(A, B, K)
+    sigma_inv = _covariance_inverse(Sigma)
     c1 = sigma_inv - a
     c0 = -(sigma_inv @ (a - b @ k))
     return c1, c0
@@ -262,14 +269,7 @@ def analytic_ndim(A, B, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
     """
     g, alpha = float(g), float(alpha)
     _check_positive(g=g, alpha=alpha)
-    a = matrixkit.require_square(A, "A")
-    b = matrixkit.require_square(B, "B")
-    k = matrixkit.as_matrix(K, "K")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError("A and B must have matching row counts")
-    if k.shape != (b.shape[1], a.shape[0]):
-        raise DimensionError(f"K must be {b.shape[1]}x{a.shape[0]}, got {k.shape}")
-    matrixkit.invert(b)
+    a, b, k = _square_system(A, B, K)
     precision = EffectiveGain.from_covariance(g, alpha, Sigma).kprime
 
     s1 = matrixkit.symmetric_part(a)

@@ -394,6 +394,22 @@ class TestConfigTypes:
                                   "2**53, past which step indices are not exact floats\n")
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unallocatable_samples_are_refused(self, tmp_path, capsys, command):
+        # 4.5e15 steps pass the 2**53 cap, but their sample indices would take
+        # 32 PiB, past the address space: the allocation fails at once
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["coupling"].update(horizon=4.5e6, dt=1e-9)
+        axes = ["--axis1", "A:1:2:2", "--axis2", "kprime:3:6:2", "--empirical"]
+        out = tmp_path / "out.csv"
+        argv = [command, "-c", write_config(tmp_path, doc), "-o", str(out)]
+        code = cli.main(argv + (axes if command == "sweep" else []))
+        assert (code, capsys.readouterr().err) == (
+            2, "error: horizon/dt = 4500000000000000 steps at record_stride 1 give "
+               "4500000000000001 samples, more than memory holds\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section, key, value, name",
         [("coupling", "e0", [1.0, [2.0]], "e0"), ("plant", "A", [[1.0], [1.0, 2.0]], "plant A")],

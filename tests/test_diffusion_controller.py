@@ -60,35 +60,11 @@ class TestRngStream:
             RngStream(1).standard_normal(8), RngStream(2).standard_normal(8)
         )
 
-
-    def test_peek_does_not_advance(self):
-        stream = RngStream(9)
-        stream.standard_normal(3)
-        first = stream.peek(10)
-        np.testing.assert_array_equal(stream.peek(10), first)
-        np.testing.assert_array_equal(stream.peek(4), first[:4])
-        np.testing.assert_array_equal(stream.standard_normal(10), first)
-        np.testing.assert_array_equal(RngStream(9).standard_normal(13)[3:], first)
-
-    def test_take_after_peek_continues_the_stream(self):
-        fresh = RngStream(17).standard_normal(60)
+    def test_split_takes_continue_the_stream(self):
+        whole = RngStream(17).standard_normal(60)
         stream = RngStream(17)
-        stream.standard_normal(5)
-        peeked = stream.peek(20)
-        taken = stream.standard_normal(20)
-        assert np.shares_memory(peeked, taken)  # the peeked draws, not new ones
-        np.testing.assert_array_equal(taken, fresh[5:25])
-        np.testing.assert_array_equal(stream.standard_normal(15), fresh[25:40])
-        np.testing.assert_array_equal(stream.peek(8), fresh[40:48])
-        np.testing.assert_array_equal(stream.standard_normal(8), fresh[40:48])
-        np.testing.assert_array_equal(stream.standard_normal(12), fresh[48:60])
-
-    def test_shorter_take_after_peek_takes_a_prefix(self):
-        fresh = RngStream(17).standard_normal(40)
-        stream = RngStream(17)
-        stream.peek(30)
-        np.testing.assert_array_equal(stream.standard_normal(12), fresh[:12])
-        np.testing.assert_array_equal(stream.standard_normal(28), fresh[12:40])
+        parts = [stream.standard_normal(size) for size in (5, 20, 35)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 class TestScore:
