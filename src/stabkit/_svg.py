@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from ._textfmt import svg_number, svg_rows
+
 WIDTH = 800
 HEIGHT = 600
 MARGIN_LEFT = 70
@@ -20,10 +22,6 @@ MARGIN_BOTTOM = 56
 PALETTE = ("#1f6fb4", "#d95f2b", "#2f9e57", "#b43ab4", "#7d7d23", "#3ac2c2", "#8049d9")
 STABLE_FILL = "#74c0a0"
 UNSTABLE_FILL = "#d98080"
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
 
 
 def _tick_label(value: float) -> str:
@@ -81,21 +79,21 @@ def _axes(frame: _Frame, title: str, xlabel: str, ylabel: str) -> list[str]:
         xv = frame.x_min + frac * (frame.x_max - frame.x_min)
         px = frame.x(xv)
         parts.append(
-            f'<line x1="{_fmt(px)}" y1="{frame.px_bottom}" x2="{_fmt(px)}" '
+            f'<line x1="{svg_number(px)}" y1="{frame.px_bottom}" x2="{svg_number(px)}" '
             f'y2="{frame.px_bottom + 5}" stroke="#333333" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{_fmt(px)}" y="{frame.px_bottom + 20}" font-size="12" '
+            f'<text x="{svg_number(px)}" y="{frame.px_bottom + 20}" font-size="12" '
             f'font-family="monospace" text-anchor="middle">{_tick_label(xv)}</text>'
         )
         yv = frame.y_min + frac * (frame.y_max - frame.y_min)
         py = frame.y(yv)
         parts.append(
-            f'<line x1="{frame.px_left - 5}" y1="{_fmt(py)}" x2="{frame.px_left}" '
-            f'y2="{_fmt(py)}" stroke="#333333" stroke-width="1"/>'
+            f'<line x1="{frame.px_left - 5}" y1="{svg_number(py)}" x2="{frame.px_left}" '
+            f'y2="{svg_number(py)}" stroke="#333333" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{frame.px_left - 9}" y="{_fmt(py + 4)}" font-size="12" '
+            f'<text x="{frame.px_left - 9}" y="{svg_number(py + 4)}" font-size="12" '
             f'font-family="monospace" text-anchor="end">{_tick_label(yv)}</text>'
         )
     parts.append(
@@ -115,8 +113,7 @@ def _axes(frame: _Frame, title: str, xlabel: str, ylabel: str) -> list[str]:
 
 def _points(frame: _Frame, xs: np.ndarray, ys: np.ndarray) -> str:
     """``x,y`` pixel pairs of data points, space-separated."""
-    pairs = np.column_stack([frame.x(xs), frame.y(ys)]).ravel().tolist()
-    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(pairs)
+    return svg_rows([frame.x(xs), ",", frame.y(ys), " "])[:-1]
 
 
 def _extreme(values: np.ndarray, default: float, first_index) -> float:
@@ -204,14 +201,12 @@ def region_map(
     y0, y1 = frame.y(y_high), frame.y(y_low)
     stable = np.asarray(stable_grid, dtype=bool)
     nx, ny = stable.shape
-    rects = np.empty((nx, ny, 5), dtype=object)
-    rects[..., 0] = x0[:, None]
-    rects[..., 1] = y0[None, :]
-    rects[..., 2] = (x1 - x0)[:, None]
-    rects[..., 3] = (y1 - y0)[None, :]
-    rects[..., 4] = np.where(stable, STABLE_FILL, UNSTABLE_FILL)
-    rect = '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"/>'
-    parts.append("\n".join([rect] * (nx * ny)) % tuple(rects.ravel().tolist()))
+    rects = svg_rows([
+        '<rect x="', np.repeat(x0, ny), '" y="', np.tile(y0, nx),
+        '" width="', np.repeat(x1 - x0, ny), '" height="', np.tile(y1 - y0, nx),
+        '" fill="', np.where(stable, STABLE_FILL, UNSTABLE_FILL).ravel(), '"/>\n',
+    ])
+    parts.append(rects[:-1])
     if boundary:
         points = np.asarray(boundary, dtype=float)
         parts.append(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -24,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _svg, matrixkit
+from . import _svg, _textfmt, matrixkit
 from .coupled_sim import (
     CouplingConfig,
     CouplingMode,
@@ -274,17 +273,13 @@ def cmd_sweep(args) -> int:
     )
 
     columns = [grid.axis1, grid.axis2, grid.analytic.label, grid.analytic.min_margin]
-    row = "%.17g,%.17g,%s,%.17g,,"
     if grid.empirical_label is not None:
         columns += [grid.empirical_label, grid.empirical_rate]
-        row = "%.17g,%.17g,%s,%.17g,%s,%.17g"
-    values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    else:
+        columns += ["", ""]
     header = "axis1,axis2,analytic_label,analytic_margin_min,empirical_label,empirical_rate"
     out_path = _resolve_output(args.output, config, "sweep")
-    _write_atomic(
-        out_path,
-        _config_echo_csv(config) + header + "\n" + "\n".join([row] * len(grid)) % values + "\n",
-    )
+    _write_atomic(out_path, _config_echo_csv(config) + header + "\n" + _textfmt.csv_rows(columns))
 
     if args.svg:
         svg = _svg.region_map(
@@ -327,22 +322,26 @@ def cmd_phase_plane(args) -> int:
     runs = [("expert", None, replace(coupling, mode=CouplingMode.EXPERT_ORACLE), policy)]
     for kp in kprimes:
         sigma = diffusion.g * math.sqrt(diffusion.alpha / kp)
-        kp_policy = ExpertPolicy(K=policy.K, Sigma=[[sigma * sigma]])
+        variance = sigma * sigma
+        if not (math.isfinite(variance) and variance > 0.0):
+            raise ParameterError(
+                f"--kprime {kp!r} gives the policy variance g^2 alpha / kprime = {variance!r}; "
+                "it must be finite and > 0"
+            )
+        kp_policy = ExpertPolicy(K=policy.K, Sigma=[[variance]])
         runs.append(
             (f"kprime={kp:g}", kp, replace(coupling, mode=CouplingMode.PER_STEP), kp_policy)
         )
 
     setpoint = float(plant.setpoint[0])
-    lines = ["series,t,x,u"]
+    rows = []  # (series name, t, x, u) of every run
     summary = []
     svg_series = []
     for name, kp, run_config, run_policy in runs:
         trajectory = simulate(plant, run_policy, diffusion, run_config)
         xs = trajectory.states[:, 0] + setpoint
         us = trajectory.actions[:, 0]
-        row = name + ",%.17g,%.17g,%.17g"
-        values = np.column_stack([trajectory.times, xs, us]).ravel().tolist()
-        lines.append("\n".join([row] * len(trajectory)) % tuple(values))
+        rows.append((np.full(len(trajectory), name), trajectory.times, xs, us))
         verdict = classify_empirical(trajectory)
         summary.append(
             {
@@ -356,7 +355,8 @@ def cmd_phase_plane(args) -> int:
         svg_series.append((name, xs, us))
 
     out_path = _resolve_output(args.output, config, "phase")
-    _write_atomic(out_path, _config_echo_csv(config) + "\n".join(lines) + "\n")
+    table = _textfmt.csv_rows([np.concatenate(column) for column in zip(*rows)])
+    _write_atomic(out_path, _config_echo_csv(config) + "series,t,x,u\n" + table)
     if args.svg:
         svg = _svg.line_chart(
             svg_series, title="augmented phase plane", xlabel="x", ylabel="u"

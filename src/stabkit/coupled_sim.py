@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import matrixkit
+from . import _textfmt, matrixkit
 from .diffusion_controller import DiffusionParams, RngStream, default_inner_dt
 from .errors import DimensionError, ParameterError
 from .plant import ExpertPolicy, PlantModel
@@ -255,6 +255,7 @@ def _column(values) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(-1, 1, 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite map is a blow-up the rollout reports
 def _step_maps(
     mode: CouplingMode, a, b, k, sigma_inv, dt, g, alpha, *, drift=None, dt_inner=None,
     inner_steps: int = 1, stochastic: bool = False,
@@ -624,6 +625,4 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     header = ",".join(
         ["t"] + [f"e_{i + 1}" for i in range(n)] + [f"u_{j + 1}" for j in range(m)]
     )
-    row = ",".join(["%.17g"] * (1 + n + m))
-    values = np.column_stack([traj.times, traj.states, traj.actions]).ravel().tolist()
-    return header + "\n" + "\n".join([row] * len(traj)) % tuple(values) + "\n"
+    return header + "\n" + _textfmt.csv_rows([traj.times, *traj.states.T, *traj.actions.T])

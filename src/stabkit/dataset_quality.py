@@ -9,7 +9,6 @@ demonstrations.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -145,25 +144,25 @@ def load_demonstrations(source) -> DemonstrationSet:
     stream or string. Raises DatasetFormatError naming the offending line
     for ragged rows, non-numeric fields, or a header-only file.
 
-    The body is parsed in one ``np.loadtxt`` call. Any log it rejects or
-    reads differently (wrong shape, non-finite values, separators only it
-    takes as whitespace) goes through :func:`_parse_records`, which gives the
-    error and line number, or the values for spellings only ``float`` reads
+    The text is read in one piece and split at newlines only (a text
+    file's read has already translated its line endings); trailing carriage
+    returns and blank lines are dropped. The body is parsed in one
+    ``np.loadtxt`` call. Any log it rejects or reads differently (wrong
+    shape, non-finite values, separators only it takes as whitespace) goes
+    through :func:`_parse_records`, which gives the error and line number,
+    or the values for spellings only ``float`` reads
     (``1_0``, non-ASCII digits)."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    numbered = [
-        (number, line.rstrip("\n").rstrip("\r"))
-        for number, line in enumerate(source, start=1)
-    ]
-    numbered = [(number, line) for number, line in numbered if line.strip() != ""]
-    if not numbered:
+    text = source if isinstance(source, str) else source.read()
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    body = list(filter(str.strip, lines))  # the non-blank lines
+    if not body:
         raise DatasetFormatError("line 1: missing header", line=1)
-    n, m = _parse_header([field.strip() for field in numbered[0][1].split(",")])
-    if len(numbered) == 1:
+    n, m = _parse_header([field.strip() for field in body[0].split(",")])
+    del body[0]
+    if not body:
         raise DatasetFormatError("empty dataset: header but no records", line=1)
-    body = [line for _, line in numbered[1:]]
-    joined = "\n".join(body)
     try:
         values = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
     except ValueError:
@@ -172,8 +171,9 @@ def load_demonstrations(source) -> DemonstrationSet:
         values is None
         or values.shape != (len(body), n + m)
         or not np.all(np.isfinite(values))
-        or any(char in joined for char in _LOADTXT_ONLY_SPACES)
+        or any(char in text for char in _LOADTXT_ONLY_SPACES)
     ):
+        numbered = [(number, line) for number, line in enumerate(lines, start=1) if line.strip()]
         values = _parse_records(numbered[1:], n + m)
     return DemonstrationSet(
         states=np.ascontiguousarray(values[:, :n]),

@@ -12,7 +12,10 @@ fitted. Draws whose dominant mode cannot be measured inside that budget
 
 from __future__ import annotations
 
+import itertools
 import math
+
+import numpy as np
 
 import stabkit as sk
 from stabkit.matrixkit import eig_2x2
@@ -91,3 +94,19 @@ def draw_measurable_scalar_system(rng, *, a_range=(-2.5, 2.5), kprime_range=(0.3
         if plan is None:
             continue
         return (a, b, k, kprime), (hi, lo), plan
+
+
+def percent_rows(row: str, columns) -> str:
+    """One ``row % values`` line per entry of ``columns``, each ended by a
+    newline: the rendering the CSV writers made with Python's ``%`` before
+    their numbers were formatted in numpy, kept as the byte reference."""
+    values = itertools.chain.from_iterable(zip(*(np.asarray(c).tolist() for c in columns)))
+    return "\n".join([row] * len(columns[0])) % tuple(values) + "\n"
+
+
+def percent_trajectory_csv(traj) -> str:
+    """``trajectory_to_csv`` as Python's ``%`` wrote it."""
+    n, m = traj.states.shape[1], traj.actions.shape[1]
+    header = ",".join(["t"] + [f"e_{i + 1}" for i in range(n)] + [f"u_{j + 1}" for j in range(m)])
+    row = ",".join(["%.17g"] * (1 + n + m))
+    return header + "\n" + percent_rows(row, [traj.times, *traj.states.T, *traj.actions.T])

@@ -1,14 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stabkit import cli
-from stabkit import RngStream, generate_demonstrations
+from stabkit import CouplingMode, ExpertPolicy, RngStream, generate_demonstrations, simulate
+from stabkit.stability_analyzer import sweep_region
+from helpers import percent_rows
 
 BASE_DOC = {
     "plant": {"A": 2.0, "B": 1.0, "r": [5.0]},
@@ -622,3 +626,104 @@ class TestParserReuse:
                 outputs.append((run, written))
             assert outputs[0] == outputs[1]
             assert outputs[0][0][0] == (2 if name is None else 0)
+
+
+def sweep_grid(doc, axis1, axis2, empirical):
+    """The grid ``sweep`` writes, computed without the CLI's writer."""
+    config = cli.parse_run_config(doc, require=("plant", "policy", "diffusion"))
+    base = {
+        "A": float(config.plant.A[0, 0]),
+        "B": float(config.plant.B[0, 0]),
+        "K": float(config.policy.K[0, 0]),
+        "sigma": float(np.sqrt(config.policy.Sigma[0, 0])),
+        "g": config.diffusion.g,
+        "alpha": config.diffusion.alpha,
+    }
+    return sweep_region(base, cli._parse_axis_flag(axis1), cli._parse_axis_flag(axis2),
+                        empirical=empirical, sim_config=config.coupling)
+
+
+class TestOutputBytes:
+    """Sweep and phase-plane CSVs byte for byte against Python's ``%``."""
+
+    SWEEP_HEADER = "axis1,axis2,analytic_label,analytic_margin_min,empirical_label,empirical_rate\n"
+
+    @pytest.mark.parametrize("empirical", [False, True])
+    def test_sweep_csv(self, tmp_path, empirical):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["coupling"].update(dt=0.01, horizon=10.0)
+        axis1, axis2 = "A:-1:3:7", "kprime:0.5:8:5"
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "region.csv"
+        argv = ["sweep", "-c", cfg, "--axis1", axis1, "--axis2", axis2, "-o", str(out)]
+        assert cli.main(argv + ["--empirical"] * empirical) == 0
+        grid = sweep_grid(doc, axis1, axis2, empirical)
+        columns = [grid.axis1, grid.axis2, grid.analytic.label, grid.analytic.min_margin]
+        if empirical:
+            assert np.isinf(grid.empirical_rate).any()  # a diverged cell's rate
+            rows = percent_rows("%.17g,%.17g,%s,%.17g,%s,%.17g",
+                                columns + [grid.empirical_label, grid.empirical_rate])
+        else:
+            rows = percent_rows("%.17g,%.17g,%s,%.17g,,", columns)
+        body = out.read_text().split("\n", 1)[1]
+        assert body == self.SWEEP_HEADER + rows
+
+    @pytest.mark.parametrize("start", [-5.0, 0.0])
+    def test_phase_plane_csv(self, tmp_path, capsys, start):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["plant"]["r"] = [0.0]
+        doc["coupling"].update(horizon=3.0, e0=[start])
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "phase.csv"
+        assert cli.main(["phase-plane", "-c", cfg, "--kprime", "1,3", "-o", str(out)]) == 0
+        config = cli.parse_run_config(doc, require=("plant", "policy", "diffusion", "coupling"))
+        runs = [("expert", config.policy, CouplingMode.EXPERT_ORACLE)]
+        for kprime in (1.0, 3.0):
+            sigma = math.sqrt(1.0 / kprime)
+            runs.append((f"kprime={kprime:g}", ExpertPolicy(K=config.policy.K,
+                                                            Sigma=[[sigma * sigma]]),
+                         CouplingMode.PER_STEP))
+        want = "series,t,x,u\n"
+        for name, policy, mode in runs:
+            traj = simulate(config.plant, policy, config.diffusion,
+                            replace(config.coupling, mode=mode))
+            want += percent_rows(name + ",%.17g,%.17g,%.17g",
+                                 [traj.times, traj.states[:, 0], traj.actions[:, 0]])
+        assert out.read_text().split("\n", 1)[1] == want
+
+
+class TestNonFiniteStepMaps:
+    """A step map that overflows is a blow-up, reported without numpy's
+    warnings; a kprime with no finite positive policy variance is refused."""
+
+    def test_simulate_with_tiny_variance(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["policy"] = {"K": 3.0, "Sigma": [[1e-308]]}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["simulate", "-c", cfg, "-o", str(tmp_path / "t.csv")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["label"] == "unstable"
+
+    def test_phase_plane_with_huge_kprime(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_DOC)
+        argv = ["phase-plane", "-c", cfg, "--kprime", "1e308", "-o", str(tmp_path / "p.csv")]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["series"][1]["diverged"] is True
+
+    def test_empirical_sweep_with_huge_kprime(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_DOC)
+        argv = ["sweep", "-c", cfg, "--empirical", "--axis1", "A:0:1:2",
+                "--axis2", "kprime:1:1e308:2", "-o", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("kprime", ["inf", "1e-320"])
+    def test_kprime_without_finite_variance_is_refused(self, tmp_path, capsys, kprime):
+        cfg = write_config(tmp_path, BASE_DOC)
+        argv = ["phase-plane", "-c", cfg, "--kprime", kprime, "-o", str(tmp_path / "p.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --kprime ") and "finite and > 0" in err

@@ -18,7 +18,7 @@ from stabkit import (
     trajectory_to_csv,
 )
 from stabkit.errors import DimensionError, ParameterError
-from helpers import draw_measurable_scalar_system, measure_rate
+from helpers import draw_measurable_scalar_system, measure_rate, percent_trajectory_csv
 
 RNG = np.random.default_rng(31)
 
@@ -696,3 +696,33 @@ class TestSimulateScalarGrid:
                 label[row], rate[row], residual[row]
             )
         assert label.tolist()[4:] == ["stable", "unstable", "stable", "stable"]
+
+
+class TestTrajectoryCsvBytes:
+    """``trajectory_to_csv`` byte for byte against Python's ``%`` rendering."""
+
+    @pytest.mark.parametrize("mode", ["expert-oracle", "per-step", "inner-loop"])
+    def test_scalar_runs(self, mode):
+        traj = simulate(DEMO_PLANT, DEMO_POLICY, DET_DIFFUSION, config(mode, horizon=2.0))
+        assert trajectory_to_csv(traj) == percent_trajectory_csv(traj)
+
+    def test_noisy_multidim_run(self):
+        plant = PlantModel(A=[[0.3, 1.0], [-0.5, 0.1]], B=np.eye(2), setpoint=[1.0, -2.0])
+        policy = ExpertPolicy(K=[[2.0, 0.5], [0.0, 1.5]], Sigma=[[0.4, 0.1], [0.1, 0.3]])
+        cfg = CouplingConfig(mode="per-step", dt=1e-3, horizon=1.5, e0=[1.0, -0.5],
+                             u0=[0.1, 0.0], seed=5)
+        traj = simulate(plant, policy, DiffusionParams(g=1.2, alpha=0.8, stochastic=True), cfg)
+        assert trajectory_to_csv(traj) == percent_trajectory_csv(traj)
+
+    def test_zero_start(self):
+        traj = simulate(DEMO_PLANT, DEMO_POLICY, DET_DIFFUSION,
+                        config("per-step", horizon=0.5, e0=(0.0,), u0=(0.0,)))
+        assert traj.states[0, 0] == 0.0
+        assert trajectory_to_csv(traj) == percent_trajectory_csv(traj)
+
+    def test_diverged_run_ending_in_inf(self):
+        plant = PlantModel(A=[[1e10]], B=[[1.0]], setpoint=[0.0])
+        traj = simulate(plant, DEMO_POLICY, DET_DIFFUSION,
+                        config("per-step", dt=0.1, horizon=1.0, e0=(1e300,)))
+        assert traj.diverged and np.isinf(traj.states[-1, 0])
+        assert trajectory_to_csv(traj) == percent_trajectory_csv(traj)
