@@ -50,8 +50,7 @@ def _build_policy(doc: dict, built: dict) -> ExpertPolicy:
     if "Sigma" in doc:
         return ExpertPolicy(K=doc["K"], Sigma=doc["Sigma"])
     sigma = matrixkit.as_real(doc["sigma"], "sigma")  # a standard deviation: Sigma = sigma^2 I
-    if not (sigma > 0.0):
-        raise ParameterError(f"sigma must be > 0, got {sigma}")
+    matrixkit._check_positive(sigma=sigma)
     k = matrixkit.as_matrix(doc["K"], "policy K")
     return ExpertPolicy(K=k, Sigma=sigma * sigma * np.eye(k.shape[0]))
 
@@ -109,7 +108,9 @@ def parse_run_config(document: dict, require: tuple[str, ...]) -> RunConfig:
     if not isinstance(document, dict):
         raise ConfigError(["config root must be a JSON object"])
     violations: list[str] = []
-    effective = json.loads(json.dumps(document))  # deep copy
+    # Only the section objects change below (the seed override), so copying
+    # them leaves ``document`` as it was.
+    effective = {key: dict(doc) if isinstance(doc, dict) else doc for key, doc in document.items()}
     sections = {}  # the sections that are JSON objects
     for section, doc in effective.items():
         if section not in _SECTIONS:
@@ -230,8 +231,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _load_config(args.config, require=("plant", "policy", "diffusion"))
-    plant, policy, diffusion = config.plant, config.policy, config.diffusion
-    verdict = analytic_verdict(plant, policy.K, policy.Sigma, diffusion.g, diffusion.alpha)
+    verdict = analytic_verdict(config.plant, config.policy, config.diffusion)
     print(json.dumps(_analytic_dict(verdict), sort_keys=True))
     return 0
 

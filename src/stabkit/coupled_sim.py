@@ -47,6 +47,9 @@ RATE_DEADBAND = 0.02
 # Samples with joint norm below this are excluded from the decay-rate fit.
 _NORM_FLOOR = 1e-300
 
+# Norms below the root of the smallest normal float have subnormal squares.
+_SQUARES_FLOOR = math.sqrt(np.finfo(float).tiny)
+
 _MIN_STEPS = 10
 # Step indices are floats (sample times are index * dt): every count up to
 # 2**53 is exact.
@@ -94,10 +97,7 @@ class CouplingConfig:
             object.__setattr__(self, name, matrixkit.as_whole(getattr(self, name), name))
         if self.dt_inner is not None:
             object.__setattr__(self, "dt_inner", matrixkit.as_real(self.dt_inner, "dt_inner"))
-        if not (self.dt > 0.0):
-            raise ParameterError(f"dt must be > 0, got {self.dt}")
-        if not (self.horizon > 0.0):
-            raise ParameterError(f"horizon must be > 0, got {self.horizon}")
+        matrixkit._check_positive(dt=self.dt, horizon=self.horizon)
         if not math.isfinite(self.horizon / self.dt):
             raise ParameterError(f"horizon/dt = {self.horizon / self.dt} steps is not finite")
         if self.n_steps > _MAX_STEPS:
@@ -112,8 +112,8 @@ class CouplingConfig:
             )
         if self.record_stride < 1:
             raise ParameterError(f"record_stride must be >= 1, got {self.record_stride}")
-        if self.dt_inner is not None and not (self.dt_inner > 0.0):
-            raise ParameterError(f"dt_inner must be > 0, got {self.dt_inner}")
+        if self.dt_inner is not None:
+            matrixkit._check_positive(dt_inner=self.dt_inner)
         object.__setattr__(self, "e0", matrixkit.as_vector(self.e0, "e0"))
         object.__setattr__(self, "u0", matrixkit.as_vector(self.u0, "u0"))
 
@@ -162,15 +162,13 @@ def _validate_run(
             f"{m}x{n}"
         )
     _check_start(config, n, m)
-    if diffusion.drift is not None and diffusion.drift.shape[0] != m:
-        raise DimensionError(f"drift has length {diffusion.drift.shape[0]}, plant expects {m}")
+    if diffusion.drift is not None:
+        matrixkit._check_length(diffusion.drift, "drift", "plant", m)
 
 
 def _check_start(config: CouplingConfig, n: int, m: int):
-    if config.e0.shape[0] != n:
-        raise DimensionError(f"e0 has length {config.e0.shape[0]}, plant expects {n}")
-    if config.u0.shape[0] != m:
-        raise DimensionError(f"u0 has length {config.u0.shape[0]}, plant expects {m}")
+    matrixkit._check_length(config.e0, "e0", "plant", n)
+    matrixkit._check_length(config.u0, "u0", "plant", m)
 
 
 def simulate(
@@ -369,7 +367,7 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = Fal
     hom[:, :dim, :dim], hom[:, dim, :dim] = step_mat.transpose(0, 2, 1), step_off
     span = min(stride, steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        e0_norm = _rescale_overflow(np.array([np.linalg.norm(config.e0)]), config.e0[None])
+        e0_norm = _rescaled(np.array([np.linalg.norm(config.e0)]), config.e0[None])
         table = _power_table(np.linalg.matrix_power(hom, span), min(steps // span, _BLOCK))
         last = np.linalg.matrix_power(hom, steps % span)
         usable = _leading_capped(table)
@@ -400,7 +398,7 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = Fal
         rows = np.flatnonzero(live)
         block = samples[rows]
         e_u = block[..., :n], block[..., n:dim]
-        norms = [_rescale_overflow(np.sqrt(np.sum(v ** 2, axis=-1)), v) for v in e_u]
+        norms = [_rescaled(np.sqrt(np.sum(v ** 2, axis=-1)), v) for v in e_u]
         # A sample blows up past blow or on a non-finite entry. A NaN in e or
         # u makes its norm NaN and an inf makes it inf, and neither is within
         # a finite blow; the homogeneous 1, and every entry when blow is
@@ -486,24 +484,22 @@ def _kicks(hom, noise, steps: int) -> np.ndarray:
 
 def _joint_norms(states, actions) -> np.ndarray:
     """Norms of the stacked (e, u) vectors along the last axis, as
-    sqrt(|e|^2 + |u|^2); see :func:`_rescale_overflow` for norms that
-    overflow."""
+    sqrt(|e|^2 + |u|^2), through :func:`_rescaled`."""
     norms = np.sqrt(np.sum(states * states, axis=-1) + np.sum(actions * actions, axis=-1))
-    if np.isinf(norms).any():
-        norms = _rescale_overflow(norms, np.concatenate([states, actions], axis=-1))
-    return norms
+    return _rescaled(norms, states, actions)
 
 
-def _rescale_overflow(norms, vectors) -> np.ndarray:
-    """``norms`` of ``vectors`` (along their last axis), with each norm that
-    overflowed to inf from a finite vector recomputed on the vector divided
-    by its largest magnitude, whose squares do not overflow."""
-    over = np.isinf(norms)
-    if over.any():
-        over &= np.isfinite(vectors).all(axis=-1)
-        big = vectors[over]
-        scale = np.abs(big).max(axis=-1, keepdims=True)
-        norms[over] = scale[:, 0] * np.sqrt(np.sum((big / scale) ** 2, axis=-1))
+def _rescaled(norms, *parts) -> np.ndarray:
+    """``norms`` of the vectors ``parts`` stack into along their last axis;
+    a norm at inf or below ``_SQUARES_FLOOR`` (0 too) is recomputed on its
+    vector over its largest magnitude, unless that vector is 0 or not finite."""
+    redo = (norms < _SQUARES_FLOOR) | (norms == math.inf)
+    if redo.any():
+        lost = np.concatenate([part[redo] for part in parts], axis=-1)
+        scale = np.abs(lost).max(axis=-1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            again = scale[:, 0] * np.sqrt(np.sum((lost / scale) ** 2, axis=-1))
+        norms[redo] = np.where(np.isfinite(again), again, norms[redo])
     return norms
 
 

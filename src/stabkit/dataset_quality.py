@@ -23,7 +23,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .plant import PlantModel
-from .stability_analyzer import StabilityVerdict, analytic_verdict
+from .stability_analyzer import StabilityVerdict, analytic_1d, analytic_ndim
 
 DEFAULT_COV_FLOOR = 1e-12
 
@@ -243,11 +243,13 @@ def quality_report(
         )
     k_hat = estimate_gain(demos)
     sigma_hat = estimate_covariance(demos, k_hat)
-    verdict = analytic_verdict(plant, k_hat, sigma_hat, g, alpha)
-    if plant.n_states == 1:
+    if plant.n_states == 1 and plant.n_inputs == 1:
+        sigma = float(np.sqrt(sigma_hat[0, 0]))
+        verdict = analytic_1d(plant.A[0, 0], plant.B[0, 0], k_hat[0, 0], sigma, g, alpha)
         lam_max = float(plant.A[0, 0])
-    else:
-        lam_max = float(matrixkit.eig_sym(matrixkit.symmetric_part(plant.A))[-1])
+    else:  # the estimates enter the analyzer here, so analytic_ndim checks them
+        verdict = analytic_ndim(plant.A, plant.B, k_hat, sigma_hat, g, alpha)
+        lam_max = float(matrixkit._eig_symmetric(0.5 * (plant.A + plant.A.T))[-1])
     threshold = g * float(np.sqrt(alpha / lam_max)) if lam_max > 0.0 else None
     return QualityReport(
         k_hat=k_hat,

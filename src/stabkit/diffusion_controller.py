@@ -85,15 +85,14 @@ def score(policy: ExpertPolicy, e, u) -> np.ndarray:
     Vanishes exactly at the expert action u = -K e.
     """
     e = matrixkit.as_vector(e, "error state e")
-    u = matrixkit.as_vector(u, "action u")
-    if e.shape[0] != policy.n_states:
-        raise DimensionError(
-            f"e has length {e.shape[0]}, policy expects {policy.n_states}"
-        )
-    if u.shape[0] != policy.n_actions:
-        raise DimensionError(
-            f"u has length {u.shape[0]}, policy expects {policy.n_actions}"
-        )
+    return _score(policy, e, matrixkit.as_vector(u, "action u"))
+
+
+def _score(policy: ExpertPolicy, e: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`score` of float vectors; DimensionError unless their lengths
+    match the policy."""
+    matrixkit._check_length(e, "e", "policy", policy.n_states)
+    matrixkit._check_length(u, "u", "policy", policy.n_actions)
     return -(policy.sigma_inv @ (u + policy.K @ e))
 
 
@@ -111,10 +110,9 @@ def denoise_step(
     adds sqrt(alpha) g sqrt(dt) xi with xi standard normal per coordinate,
     so the increment variance is alpha g^2 dt per coordinate.
     """
-    if not (dt > 0.0):
-        raise ParameterError(f"dt must be > 0, got {dt}")
+    matrixkit._check_positive(dt=dt)
     u = matrixkit.as_vector(u, "action u")
-    s = score(policy, e, u)
+    s = _score(policy, matrixkit.as_vector(e, "error state e"), u)
     gain = params.g * params.g * params.alpha
     if params.drift is not None:
         if params.drift.shape[0] != u.shape[0]:
@@ -153,8 +151,7 @@ def full_denoise(
     With stochastic=False and enough steps the result approaches -K e
     geometrically.
     """
-    if not (dt_inner > 0.0):
-        raise ParameterError(f"dt_inner must be > 0, got {dt_inner}")
+    matrixkit._check_positive(dt_inner=dt_inner)
     m = policy.n_actions
     if params.stochastic:
         if rng is None:

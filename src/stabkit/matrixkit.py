@@ -11,6 +11,11 @@ immutable values.
 
 The coercions :func:`as_real`, :func:`as_whole`, :func:`as_matrix` and
 :func:`as_vector` hold the type rules of every numeric field in the package.
+
+Validation rule: public functions and dataclass constructors validate their
+inputs, with the error messages of their contract; ``_`` kernels trust
+theirs. Each value is checked once, where it enters. The kernels here take
+finite square float arrays and answer as the public function they name would.
 """
 
 from __future__ import annotations
@@ -101,9 +106,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"{name} must have at least one row and column")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return a
+    return _finite(a, name)
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
@@ -113,9 +116,27 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1:
         raise DimensionError(f"{name} must be 1-dimensional, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
+    return _finite(v, name)
+
+
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a``; NonFiniteError when any entry is NaN or infinite."""
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
-    return v
+    return a
+
+
+def _check_positive(**values: float):
+    """ParameterError naming the first of ``values`` that is not > 0."""
+    for name, value in values.items():
+        if not (value > 0.0):
+            raise ParameterError(f"{name} must be > 0, got {value}")
+
+
+def _check_length(v: np.ndarray, name: str, owner: str, length: int):
+    """DimensionError unless vector ``v`` has the length ``owner`` expects."""
+    if v.shape[0] != length:
+        raise DimensionError(f"{name} has length {v.shape[0]}, {owner} expects {length}")
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -141,8 +162,8 @@ def check_symmetric(s, name: str = "matrix") -> np.ndarray:
     ``SYMMETRY_RTOL`` (relative to the largest entry magnitude), raise above
     it."""
     s = require_square(s, name)
-    allowed = SYMMETRY_RTOL * float(np.max(np.abs(s)))
-    skew = float(np.max(np.abs(s - s.T)))
+    allowed = SYMMETRY_RTOL * float(np.abs(s).max())
+    skew = float(np.abs(s - s.T).max())
     if skew > allowed:
         raise AsymmetricMatrixError(
             f"{name} is asymmetric beyond tolerance: max|S - S^T| = {skew:.3e}, "
@@ -160,6 +181,11 @@ def eig_sym(s) -> np.ndarray:
     return np.linalg.eigvalsh(check_symmetric(s, "eig_sym input"))
 
 
+def _eig_symmetric(s: np.ndarray) -> np.ndarray:
+    """:func:`eig_sym` of an exactly symmetric ``s``, possibly non-finite."""
+    return np.linalg.eigvalsh(_finite(s, "eig_sym input"))
+
+
 def _cholesky_pivots(s: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of symmetric ``s``, or None if any pivot is at
     most ``PD_RTOL`` times the largest diagonal magnitude.
@@ -171,7 +197,7 @@ def _cholesky_pivots(s: np.ndarray) -> np.ndarray | None:
         lower = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.diag(lower) ** 2 > PD_RTOL * float(np.max(np.abs(np.diag(s))))):
+    if not (lower.diagonal() ** 2 > PD_RTOL * float(np.abs(s.diagonal()).max())).all():
         return None
     return lower
 
@@ -181,6 +207,12 @@ def is_positive_definite(s) -> bool:
     with every pivot above ``PD_RTOL`` times the largest diagonal magnitude,
     so exact zero matrices and semidefinite matrices are rejected."""
     return _cholesky_pivots(check_symmetric(s, "is_positive_definite input")) is not None
+
+
+def _positive_definite(s: np.ndarray) -> bool:
+    """:func:`is_positive_definite` of an exactly symmetric ``s``, possibly
+    non-finite."""
+    return _cholesky_pivots(_finite(s, "is_positive_definite input")) is not None
 
 
 def cholesky(s) -> np.ndarray:
@@ -198,15 +230,19 @@ def invert(m) -> np.ndarray:
     Raises SingularMatrixError when the smallest singular value is at most
     ``PIVOT_RTOL`` times the largest entry magnitude of the input.
     """
-    m = require_square(m, "invert input")
+    return np.linalg.inv(_nonsingular(require_square(m, "invert input")))
+
+
+def _nonsingular(m: np.ndarray) -> np.ndarray:
+    """``m``; SingularMatrixError under the rule of :func:`invert`."""
     smallest = float(np.linalg.svd(m, compute_uv=False)[-1])
-    threshold = PIVOT_RTOL * float(np.max(np.abs(m)))
+    threshold = PIVOT_RTOL * float(np.abs(m).max())
     if smallest <= threshold:
         raise SingularMatrixError(
             f"matrix is singular to working precision (smallest singular value "
             f"{smallest:.3e}, allowed {threshold:.3e})"
         )
-    return np.linalg.inv(m)
+    return m
 
 
 def eig_2x2(m) -> tuple[complex, complex]:

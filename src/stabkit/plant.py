@@ -74,7 +74,7 @@ class ExpertPolicy:
                 f"policy Sigma must be {k.shape[0]}x{k.shape[0]} to match K, "
                 f"got {sigma.shape}"
             )
-        if not matrixkit.is_positive_definite(sigma):
+        if not matrixkit._positive_definite(sigma):
             raise ParameterError("policy Sigma must be positive definite")
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "Sigma", sigma)
@@ -82,7 +82,7 @@ class ExpertPolicy:
     @functools.cached_property
     def sigma_inv(self) -> np.ndarray:
         """Sigma^{-1}, computed on first use and kept for the policy's life."""
-        return matrixkit.invert(self.Sigma)
+        return np.linalg.inv(matrixkit._nonsingular(self.Sigma))
 
     @property
     def n_actions(self) -> int:
@@ -97,22 +97,13 @@ def plant_derivative(plant: PlantModel, e, u) -> np.ndarray:
     """Error-state derivative A e + B u."""
     e = matrixkit.as_vector(e, "error state e")
     u = matrixkit.as_vector(u, "action u")
-    if e.shape[0] != plant.n_states:
-        raise DimensionError(
-            f"e has length {e.shape[0]}, plant expects {plant.n_states}"
-        )
-    if u.shape[0] != plant.n_inputs:
-        raise DimensionError(
-            f"u has length {u.shape[0]}, plant expects {plant.n_inputs}"
-        )
+    matrixkit._check_length(e, "e", "plant", plant.n_states)
+    matrixkit._check_length(u, "u", "plant", plant.n_inputs)
     return plant.A @ e + plant.B @ u
 
 
 def expert_action(policy: ExpertPolicy, e) -> np.ndarray:
     """Deterministic expert action -K e."""
     e = matrixkit.as_vector(e, "error state e")
-    if e.shape[0] != policy.n_states:
-        raise DimensionError(
-            f"e has length {e.shape[0]}, policy expects {policy.n_states}"
-        )
+    matrixkit._check_length(e, "e", "policy", policy.n_states)
     return -(policy.K @ e)

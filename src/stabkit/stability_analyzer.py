@@ -30,6 +30,7 @@ from .coupled_sim import (
     CouplingMode,
     simulate_scalar_grid,
 )
+from .diffusion_controller import DiffusionParams
 from .errors import DimensionError, NonFiniteError, ParameterError
 from .plant import ExpertPolicy, PlantModel
 
@@ -75,7 +76,7 @@ class EffectiveGain:
     def from_scalar(cls, g: float, alpha: float, sigma: float) -> "EffectiveGain":
         """g^2 alpha / sigma^2; refused unless it is finite and > 0."""
         g, alpha, sigma = float(g), float(alpha), float(sigma)
-        _check_positive(sigma=sigma, g=g, alpha=alpha)
+        matrixkit._check_positive(sigma=sigma, g=g, alpha=alpha)
         sigma_sq = sigma * sigma
         kprime = g * g * alpha / sigma_sq if sigma_sq > 0.0 else math.inf
         if kprime == math.inf:
@@ -88,16 +89,25 @@ class EffectiveGain:
     @classmethod
     def from_covariance(cls, g: float, alpha: float, Sigma) -> "EffectiveGain":
         g, alpha = float(g), float(alpha)
-        _check_positive(g=g, alpha=alpha)
+        matrixkit._check_positive(g=g, alpha=alpha)
         precision = g * g * alpha * _covariance_inverse(Sigma)
         return cls(matrixkit.symmetric_part(precision))
 
 
 def _covariance_inverse(Sigma) -> np.ndarray:
     sigma = matrixkit.check_symmetric(Sigma, "Sigma")
-    if not matrixkit.is_positive_definite(sigma):
+    if not matrixkit._positive_definite(sigma):
         raise ParameterError("Sigma must be positive definite")
-    return matrixkit.invert(sigma)
+    return np.linalg.inv(matrixkit._nonsingular(sigma))
+
+
+def _precision(g: float, alpha: float, sigma_inv: np.ndarray) -> np.ndarray:
+    """``EffectiveGain.from_covariance(g, alpha, Sigma).kprime`` from a
+    checked Sigma^{-1}, with the same refusals."""
+    precision = matrixkit.symmetric_part(g * g * alpha * sigma_inv)
+    if not matrixkit._positive_definite(precision):
+        raise ParameterError("matrix effective gain must be positive definite")
+    return precision
 
 
 def _square_system(A, B, K):
@@ -109,14 +119,8 @@ def _square_system(A, B, K):
         raise DimensionError("A and B must have matching row counts")
     if k.shape != (b.shape[1], a.shape[0]):
         raise DimensionError(f"K must be {b.shape[1]}x{a.shape[0]}, got {k.shape}")
-    matrixkit.invert(b)  # raises SingularMatrixError when not invertible
+    matrixkit._nonsingular(b)
     return a, b, k
-
-
-def _check_positive(**values: float):
-    for name, value in values.items():
-        if not (value > 0.0):
-            raise ParameterError(f"{name} must be > 0, got {value}")
 
 
 def _resolve_labels(decisive, failure_label: str) -> np.ndarray:
@@ -165,7 +169,7 @@ def analytic_1d(
     the label.
     """
     sigma, g, alpha = float(sigma), float(g), float(alpha)
-    _check_positive(sigma=sigma, g=g, alpha=alpha)
+    matrixkit._check_positive(sigma=sigma, g=g, alpha=alpha)
     a, b, k = float(A), float(B), float(K)
     for name, value in (("A", a), ("B", b), ("K", k)):
         if not math.isfinite(value):
@@ -268,17 +272,19 @@ def analytic_ndim(A, B, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
     conditions are sufficient only). Margins are the eigenvalue slacks.
     """
     g, alpha = float(g), float(alpha)
-    _check_positive(g=g, alpha=alpha)
+    matrixkit._check_positive(g=g, alpha=alpha)
     a, b, k = _square_system(A, B, K)
-    precision = EffectiveGain.from_covariance(g, alpha, Sigma).kprime
+    return _ndim_verdict(a, b, k, _precision(g, alpha, _covariance_inverse(Sigma)))
 
-    s1 = matrixkit.symmetric_part(a)
-    lam_max_s1 = float(matrixkit.eig_sym(s1)[-1])
-    lam_min_p = float(matrixkit.eig_sym(precision)[0])
+
+def _ndim_verdict(a, b, k, precision) -> StabilityVerdict:
+    """:func:`analytic_ndim` of a checked system and its effective precision."""
+    lam_max_s1 = float(matrixkit._eig_symmetric(0.5 * (a + a.T))[-1])
+    lam_min_p = float(np.linalg.eigvalsh(precision)[0])  # _precision checked it finite
     margin_gain = lam_min_p - lam_max_s1
 
     closed_loop_sym = matrixkit.symmetric_part(precision @ (a - b @ k))
-    lam_max_cl = float(matrixkit.eig_sym(closed_loop_sym)[-1])
+    lam_max_cl = float(matrixkit._eig_symmetric(closed_loop_sym)[-1])
     margin_cl = -lam_max_cl
 
     margins = {"gain_vs_plant": margin_gain, "closed_loop": margin_cl}
@@ -296,19 +302,25 @@ def analytic_ndim(A, B, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
         (margin_gain, max(1.0, abs(lam_min_p), abs(lam_max_s1)), True),
         (margin_cl, max(1.0, abs(lam_max_cl)), True),
     ]
-    label = str(_resolve_labels(decisive, "inconclusive"))
+    label = _resolve_labels(decisive, "inconclusive").item()
     return StabilityVerdict(
         label=label, margins=margins, conditions=conditions, notes=tuple(notes)
     )
 
 
-def analytic_verdict(plant: PlantModel, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
-    """The verdict for ``plant`` under expert (K, Sigma): :func:`analytic_1d`
-    with sigma = sqrt(Sigma) for a 1x1 plant, else :func:`analytic_ndim`."""
+def analytic_verdict(
+    plant: PlantModel, policy: ExpertPolicy, diffusion: DiffusionParams
+) -> StabilityVerdict:
+    """The verdict for ``plant`` under ``policy`` and ``diffusion``:
+    :func:`analytic_1d` with sigma = sqrt(Sigma) for a 1x1 plant, else
+    :func:`analytic_ndim`. Their constructors checked every array, so only
+    how the three fit together is checked here."""
+    g, alpha = diffusion.g, diffusion.alpha
     if plant.n_states == 1 and plant.n_inputs == 1:
-        sigma = float(np.sqrt(Sigma[0, 0]))
-        return analytic_1d(plant.A[0, 0], plant.B[0, 0], K[0, 0], sigma, g, alpha)
-    return analytic_ndim(plant.A, plant.B, K, Sigma, g, alpha)
+        sigma = float(np.sqrt(policy.Sigma[0, 0]))
+        return analytic_1d(plant.A[0, 0], plant.B[0, 0], policy.K[0, 0], sigma, g, alpha)
+    a, b, k = _square_system(plant.A, plant.B, policy.K)
+    return _ndim_verdict(a, b, k, _precision(g, alpha, policy.sigma_inv))
 
 
 def classify_table_row(

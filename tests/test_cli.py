@@ -96,6 +96,20 @@ class TestSimulate:
         assert reparsed.plant.A[0, 0] == 2.0
         assert reparsed.coupling.seed == 11
 
+    def test_parse_leaves_the_document_as_it_was(self, monkeypatch):
+        # the effective config is a copy: the seed override changes only it
+        doc = {**json.loads(json.dumps(BASE_DOC)), "output": {"trajectory": "t.csv"}}
+        before = json.dumps(doc, sort_keys=True)
+        monkeypatch.delenv("STAB_SEED", raising=False)
+        config = cli.parse_run_config(doc, require=("plant", "policy", "diffusion", "coupling"))
+        assert config.effective == json.loads(json.dumps(doc))
+        monkeypatch.setenv("STAB_SEED", "77")
+        config = cli.parse_run_config(doc, require=("plant", "policy", "diffusion", "coupling"))
+        assert json.dumps(doc, sort_keys=True) == before
+        expected = json.loads(before)
+        expected["coupling"]["seed"] = 77
+        assert config.effective == expected and config.coupling.seed == 77
+
     def test_stab_seed_env_override(self, tmp_path, capsys, monkeypatch):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["diffusion"]["stochastic"] = True

@@ -697,6 +697,24 @@ class TestSimulateScalarGrid:
             )
         assert label.tolist()[4:] == ["stable", "unstable", "stable", "stable"]
 
+    def test_norms_below_the_squares_floor_enter_the_fit(self):
+        # e^(-3t) to t = 200 ends near 1e-260: squaring it underflows past
+        # t = 118, yet every sample stays above the fit floor
+        samples = 20001
+        times = np.linspace(0.0, 200.0, samples)
+        rng = np.random.default_rng(samples)
+        noise = rng.normal(0.0, 0.3, samples)
+        run = coupled_sim.Trajectory(times, np.exp(-3.0 * times + noise)[:, None],
+                                     np.zeros((samples, 1)), None, False)
+        norms = coupled_sim._joint_norms(run.states, run.actions)
+        np.testing.assert_array_equal(norms, run.states[:, 0])
+        assert classify_empirical(run).rate == pytest.approx(-3.00005, abs=5e-6)
+        # a zero vector keeps norm 0, a non-finite one its inf or NaN
+        odd = np.array([[0.0, 0.0], [1e-170, -1e-170], [math.inf, 1.0], [math.nan, 1e-200]])
+        assert coupled_sim._joint_norms(odd[:, :1], odd[:, 1:]).tolist()[:3] == [
+            0.0, math.sqrt(2.0) * 1e-170, math.inf]
+        assert math.isnan(coupled_sim._joint_norms(odd[:, :1], odd[:, 1:])[3])
+
 
 class TestTrajectoryCsvBytes:
     """``trajectory_to_csv`` byte for byte against Python's ``%`` rendering."""

@@ -1,0 +1,231 @@
+"""The validation contract: every public entry refuses each kind of bad input
+with a fixed exception type and message, although internal kernels trust
+the arrays the entry checked and do not check them again.
+
+Each case names an entry, the input it gets wrong and the refusal expected,
+written out in full. Singular values in messages are matched as numbers,
+since LAPACK may round their last digits differently.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+import stabkit as sk
+from stabkit import matrixkit as mk
+from stabkit.errors import (
+    AsymmetricMatrixError,
+    DimensionError,
+    NonFiniteError,
+    ParameterError,
+    SingularMatrixError,
+)
+from stabkit.stability_analyzer import EffectiveGain
+
+A = [[0.5, 0.1], [0.0, -0.3]]
+B = [[1.0, 0.0], [0.0, 1.0]]
+K = [[2.0, 0.0], [0.0, 1.0]]
+S = [[0.5, 0.1], [0.1, 0.4]]
+
+BOOL = [[0.5, True], [0.1, 0.4]]
+NAN = [[0.5, 0.1], [0.1, math.nan]]
+WIDE = [[0.5, 0.1, 0.0], [0.1, 0.4, 0.0]]
+ASYMMETRIC = [[0.5, 0.1], [0.1 + 1e-9, 0.4]]  # skew 1e-9, tolerance 5e-13
+NOT_PD = [[1.0, 2.0], [2.0, 1.0]]
+SINGULAR = [[1.0, 0.0], [0.0, 0.0]]
+# positive definite by its pivots (2e-12 squared, above 1e-12), yet its
+# smallest singular value 7e-13 is within the singularity rule
+NEARLY_SINGULAR_PD = [[1.0, 1.0 - 7e-13], [1.0 - 7e-13, 1.0]]
+# symmetric and finite, but 1.5e308 + 1.5e308 overflows when symmetrized
+HUGE = [[1.5e308, 0.0], [0.0, 1.0]]
+
+
+def exactly(message):
+    return re.escape(message)
+
+
+def singular(smallest, allowed):
+    """The refusal of the singularity rule; ``smallest`` is a pattern."""
+    return (exactly("matrix is singular to working precision (smallest singular value ")
+            + smallest + exactly(f", allowed {allowed})"))
+
+
+ZERO = exactly("0.000e+00")
+NUMBER = "[0-9.]+e[+-][0-9]+"
+
+
+def asymmetric(name):
+    return exactly(f"{name} is asymmetric beyond tolerance: max|S - S^T| = 1.000e-09, "
+                   "allowed 5.000e-13")
+
+
+def verdict(a=A, b=B, k=K, s=S, g=1.0):
+    """``analytic_verdict`` with its inputs built by their constructors."""
+    return sk.analytic_verdict(sk.PlantModel(A=a, B=b), sk.ExpertPolicy(K=k, Sigma=s),
+                               sk.DiffusionParams(g=g, alpha=1.0))
+
+
+def ndim(a=A, b=B, k=K, s=S, g=1.0):
+    return sk.analytic_ndim(a, b, k, s, g, 1.0)
+
+
+def second_order(a=A, b=B, k=K, s=S):
+    return sk.second_order_coefficients(a, b, k, s)
+
+
+CASES = {
+    # analytic_ndim
+    "ndim-bool": (lambda: ndim(s=BOOL), ParameterError,
+                  exactly("Sigma must hold numbers, got True")),
+    "ndim-nan": (lambda: ndim(a=NAN), NonFiniteError, exactly("A contains non-finite entries")),
+    "ndim-wide-A": (lambda: ndim(a=WIDE), DimensionError,
+                    exactly("A must be square, got shape (2, 3)")),
+    "ndim-wide-B": (lambda: ndim(b=WIDE), DimensionError,
+                    exactly("B must be square, got shape (2, 3)")),
+    "ndim-asymmetric": (lambda: ndim(s=ASYMMETRIC), AsymmetricMatrixError, asymmetric("Sigma")),
+    "ndim-not-pd": (lambda: ndim(s=NOT_PD), ParameterError,
+                    exactly("Sigma must be positive definite")),
+    "ndim-singular-B": (lambda: ndim(b=SINGULAR), SingularMatrixError,
+                        singular(ZERO, "1.000e-12")),
+    "ndim-singular-Sigma": (lambda: ndim(s=NEARLY_SINGULAR_PD), SingularMatrixError,
+                            singular(NUMBER, "1.000e-12")),
+    "ndim-huge-Sigma": (lambda: ndim(s=HUGE), NonFiniteError,
+                        exactly("is_positive_definite input contains non-finite entries")),
+    "ndim-huge-A": (lambda: ndim(a=HUGE), NonFiniteError,
+                    exactly("eig_sym input contains non-finite entries")),
+    "ndim-tiny-g": (lambda: ndim(g=1e-200), ParameterError,
+                    exactly("matrix effective gain must be positive definite")),
+    "ndim-huge-g": (lambda: ndim(g=1e200), NonFiniteError,
+                    exactly("matrix contains non-finite entries")),
+    "ndim-huge-closed-loop": (lambda: ndim(b=[[1e300, 0.0], [0.0, 1e300]],
+                                           k=[[1e10, 0.0], [0.0, 1.0]]),
+                              NonFiniteError, exactly("matrix contains non-finite entries")),
+    # analytic_verdict, with its plant, policy and diffusion from their constructors
+    "verdict-bool": (lambda: verdict(s=BOOL), ParameterError,
+                     exactly("policy Sigma must hold numbers, got True")),
+    "verdict-nan": (lambda: verdict(a=NAN), NonFiniteError,
+                    exactly("plant A contains non-finite entries")),
+    "verdict-wide-A": (lambda: verdict(a=WIDE), DimensionError,
+                       exactly("plant A must be square, got shape (2, 3)")),
+    "verdict-tall-B": (lambda: verdict(b=[[1.0], [0.5]], k=[[1.0, 0.0]], s=[[0.5]]),
+                       DimensionError, exactly("B must be square, got shape (2, 1)")),
+    "verdict-wide-K": (lambda: verdict(k=WIDE), DimensionError,
+                       exactly("K must be 2x2, got (2, 3)")),
+    "verdict-asymmetric": (lambda: verdict(s=ASYMMETRIC), AsymmetricMatrixError,
+                           asymmetric("policy Sigma")),
+    "verdict-not-pd": (lambda: verdict(s=NOT_PD), ParameterError,
+                       exactly("policy Sigma must be positive definite")),
+    "verdict-singular-B": (lambda: verdict(b=SINGULAR), SingularMatrixError,
+                           singular(ZERO, "1.000e-12")),
+    "verdict-singular-Sigma": (lambda: verdict(s=NEARLY_SINGULAR_PD), SingularMatrixError,
+                               singular(NUMBER, "1.000e-12")),
+    "verdict-huge-Sigma": (lambda: verdict(s=HUGE), NonFiniteError,
+                           exactly("is_positive_definite input contains non-finite entries")),
+    "verdict-huge-A": (lambda: verdict(a=HUGE), NonFiniteError,
+                       exactly("eig_sym input contains non-finite entries")),
+    "verdict-tiny-g": (lambda: verdict(g=1e-200), ParameterError,
+                       exactly("matrix effective gain must be positive definite")),
+    "verdict-huge-g": (lambda: verdict(g=1e200), NonFiniteError,
+                       exactly("matrix contains non-finite entries")),
+    # second_order_coefficients
+    "second-order-bool": (lambda: second_order(b=BOOL), ParameterError,
+                          exactly("B must hold numbers, got True")),
+    "second-order-nan": (lambda: second_order(s=NAN), NonFiniteError,
+                         exactly("Sigma contains non-finite entries")),
+    "second-order-wide": (lambda: second_order(s=WIDE), DimensionError,
+                          exactly("Sigma must be square, got shape (2, 3)")),
+    "second-order-asymmetric": (lambda: second_order(s=ASYMMETRIC), AsymmetricMatrixError,
+                                asymmetric("Sigma")),
+    "second-order-not-pd": (lambda: second_order(s=NOT_PD), ParameterError,
+                            exactly("Sigma must be positive definite")),
+    "second-order-singular-B": (lambda: second_order(b=SINGULAR), SingularMatrixError,
+                                singular(ZERO, "1.000e-12")),
+    # EffectiveGain and its covariance constructor
+    "gain-bool": (lambda: EffectiveGain.from_covariance(1.0, 1.0, BOOL), ParameterError,
+                  exactly("Sigma must hold numbers, got True")),
+    "gain-nan": (lambda: EffectiveGain(np.array(NAN)), NonFiniteError,
+                 exactly("is_positive_definite input contains non-finite entries")),
+    "gain-wide": (lambda: EffectiveGain(np.array(WIDE)), DimensionError,
+                  exactly("is_positive_definite input must be square, got shape (2, 3)")),
+    "gain-asymmetric": (lambda: EffectiveGain(np.array(ASYMMETRIC)), AsymmetricMatrixError,
+                        asymmetric("is_positive_definite input")),
+    "gain-not-pd": (lambda: EffectiveGain(np.array(NOT_PD)), ParameterError,
+                    exactly("matrix effective gain must be positive definite")),
+    "gain-covariance-not-pd": (lambda: EffectiveGain.from_covariance(1.0, 1.0, NOT_PD),
+                               ParameterError, exactly("Sigma must be positive definite")),
+    "gain-covariance-singular": (
+        lambda: EffectiveGain.from_covariance(1.0, 1.0, NEARLY_SINGULAR_PD),
+        SingularMatrixError, singular(NUMBER, "1.000e-12")),
+    "gain-covariance-huge": (lambda: EffectiveGain.from_covariance(1.0, 1.0, HUGE), NonFiniteError,
+                             exactly("is_positive_definite input contains non-finite entries")),
+    # ExpertPolicy
+    "policy-bool": (lambda: sk.ExpertPolicy(K=BOOL, Sigma=S), ParameterError,
+                    exactly("policy K must hold numbers, got True")),
+    "policy-nan": (lambda: sk.ExpertPolicy(K=K, Sigma=NAN), NonFiniteError,
+                   exactly("policy Sigma contains non-finite entries")),
+    "policy-wide": (lambda: sk.ExpertPolicy(K=K, Sigma=WIDE), DimensionError,
+                    exactly("policy Sigma must be square, got shape (2, 3)")),
+    "policy-asymmetric": (lambda: sk.ExpertPolicy(K=K, Sigma=ASYMMETRIC), AsymmetricMatrixError,
+                          asymmetric("policy Sigma")),
+    "policy-not-pd": (lambda: sk.ExpertPolicy(K=K, Sigma=NOT_PD), ParameterError,
+                      exactly("policy Sigma must be positive definite")),
+    "policy-huge": (lambda: sk.ExpertPolicy(K=K, Sigma=HUGE), NonFiniteError,
+                    exactly("is_positive_definite input contains non-finite entries")),
+    # matrixkit
+    "eig-bool": (lambda: mk.eig_sym(BOOL), ParameterError,
+                 exactly("eig_sym input must hold numbers, got True")),
+    "eig-nan": (lambda: mk.eig_sym(NAN), NonFiniteError,
+                exactly("eig_sym input contains non-finite entries")),
+    "eig-wide": (lambda: mk.eig_sym(WIDE), DimensionError,
+                 exactly("eig_sym input must be square, got shape (2, 3)")),
+    "eig-asymmetric": (lambda: mk.eig_sym(ASYMMETRIC), AsymmetricMatrixError,
+                       asymmetric("eig_sym input")),
+    "pd-bool": (lambda: mk.is_positive_definite(BOOL), ParameterError,
+                exactly("is_positive_definite input must hold numbers, got True")),
+    "pd-nan": (lambda: mk.is_positive_definite(NAN), NonFiniteError,
+               exactly("is_positive_definite input contains non-finite entries")),
+    "pd-wide": (lambda: mk.is_positive_definite(WIDE), DimensionError,
+                exactly("is_positive_definite input must be square, got shape (2, 3)")),
+    "pd-asymmetric": (lambda: mk.is_positive_definite(ASYMMETRIC), AsymmetricMatrixError,
+                      asymmetric("is_positive_definite input")),
+    "invert-bool": (lambda: mk.invert(BOOL), ParameterError,
+                    exactly("invert input must hold numbers, got True")),
+    "invert-nan": (lambda: mk.invert(NAN), NonFiniteError,
+                   exactly("invert input contains non-finite entries")),
+    "invert-wide": (lambda: mk.invert(WIDE), DimensionError,
+                    exactly("invert input must be square, got shape (2, 3)")),
+    "invert-singular": (lambda: mk.invert(SINGULAR), SingularMatrixError,
+                        singular(ZERO, "1.000e-12")),
+    "invert-nearly-singular": (lambda: mk.invert(NEARLY_SINGULAR_PD), SingularMatrixError,
+                               singular(NUMBER, "1.000e-12")),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_bad_input_is_refused(case):
+    call, error, pattern = CASES[case]
+    with np.errstate(over="ignore"), pytest.raises(error) as info:  # the huge cases overflow
+        call()
+    assert type(info.value) is error
+    assert re.fullmatch(pattern, str(info.value)), str(info.value)
+
+
+def test_positive_definite_answers_without_refusing():
+    # a verdict, not an error, for every square finite input
+    assert mk.is_positive_definite(S)
+    assert not mk.is_positive_definite(NOT_PD)
+    assert not mk.is_positive_definite(SINGULAR)
+    assert mk.is_positive_definite(NEARLY_SINGULAR_PD)
+    with np.errstate(over="ignore"):
+        assert not mk.is_positive_definite(HUGE)  # its symmetric part overflows to inf
+
+
+def test_verdict_matches_ndim_on_the_same_arrays():
+    plant = sk.PlantModel(A=A, B=B)
+    policy = sk.ExpertPolicy(K=K, Sigma=S)
+    for g in (0.3, 1.0, 2.5):
+        got = sk.analytic_verdict(plant, policy, sk.DiffusionParams(g=g, alpha=1.0))
+        want = sk.analytic_ndim(A, B, K, S, g, 1.0)
+        assert got == want
