@@ -161,8 +161,8 @@ def _load_config(path: str, require: tuple[str, ...]) -> RunConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8 text or JSON, or nested too deep
+            raise ConfigError([f"config {path} is not valid JSON: {exc}"]) from exc
     return parse_run_config(document, require)
 
 
@@ -268,30 +268,35 @@ def cmd_sweep(args) -> int:
         "g": diffusion.g,
         "alpha": diffusion.alpha,
     }
-    grid = sweep_region(
-        base, axis1, axis2, empirical=bool(args.empirical), sim_config=config.coupling
-    )
-
-    columns = [grid.axis1, grid.axis2, grid.analytic.label, grid.analytic.min_margin]
-    if grid.empirical_label is not None:
-        columns += [grid.empirical_label, grid.empirical_rate]
-    else:
-        columns += ["", ""]
-    header = "axis1,axis2,analytic_label,analytic_margin_min,empirical_label,empirical_rate"
-    out_path = _resolve_output(args.output, config, "sweep")
-    _write_atomic(out_path, _config_echo_csv(config) + header + "\n" + _textfmt.csv_rows(columns))
-
-    if args.svg:
-        svg = _svg.region_map(
-            axis1.values(),
-            axis2.values(),
-            grid.stable(),
-            grid.boundary_points(),
-            title="stability region",
-            xlabel=axis1.name,
-            ylabel=axis2.name,
+    try:
+        grid = sweep_region(
+            base, axis1, axis2, empirical=bool(args.empirical), sim_config=config.coupling
         )
-        _write_atomic(args.svg, _config_echo_svg(config) + svg)
+
+        columns = [grid.axis1, grid.axis2, grid.analytic.label, grid.analytic.min_margin]
+        if grid.empirical_label is not None:
+            columns += [grid.empirical_label, grid.empirical_rate]
+        else:
+            columns += ["", ""]
+        header = "axis1,axis2,analytic_label,analytic_margin_min,empirical_label,empirical_rate"
+        out_path = _resolve_output(args.output, config, "sweep")
+        _write_atomic(out_path, _config_echo_csv(config) + header + "\n" + _textfmt.csv_rows(columns))
+
+        if args.svg:
+            svg = _svg.region_map(
+                axis1.values(),
+                axis2.values(),
+                grid.stable(),
+                grid.boundary_points(),
+                title="stability region",
+                xlabel=axis1.name,
+                ylabel=axis2.name,
+            )
+            _write_atomic(args.svg, _config_echo_svg(config) + svg)
+    except MemoryError:
+        raise ParameterError(
+            f"a {axis1.steps} x {axis2.steps} sweep grid is more than memory holds"
+        ) from None
     return 0
 
 

@@ -204,10 +204,8 @@ def simulate_scalar_grid(a, b, k, variance, g, alpha, config: CouplingConfig):
     through the rollout of ``simulate``. A row keeps only the joint norms of
     the trailing half of its samples, which the fit reads, and whether it
     diverged; no trajectory is built. Each batch is fitted in one
-    vectorized pass, the rule of :func:`classify_empirical`. A row's rate
-    and residual match its one-run verdict up to rounding: a batch advances
-    its live rows by the smallest usable power count among them, so the
-    last bits depend on which rows share the batch.
+    vectorized pass, the rule of :func:`classify_empirical`. Each row
+    keeps the samples of its own run, so the verdicts are exact.
     """
     _check_start(config, 1, 1)
     step_mat, step_off, _ = _step_maps(
@@ -352,8 +350,11 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = Fal
     zero state into NaN. Otherwise it is one plant step, against a power
     table as long as the budget allows; a block then records, and checks
     for blow-up, only its steps on the stride grid and the final step, and
-    is at least one step even when H passes the cap. A batch whose rows
-    need both spans rolls out the rows of each span apart.
+    is at least one step even when H passes the cap. A batch advances by
+    the blocks of its rows with the most usable powers. Any other row keeps
+    its record if it blew up within its own usable powers, as its own run
+    does, and otherwise rolls out again alone, as every stepping row of a
+    batch of several does.
 
     Draws: a noisy block takes its draws in one ``standard_normal`` call, in
     the order ``full_denoise`` takes them; a run that diverges mid block has
@@ -377,12 +378,6 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = Fal
             fits &= span <= max(1, _BATCH_FLOATS // (width * (dim + 1)))
             kicks = _kicks(hom, noise, span if fits.all() else 1)
             fits &= (np.abs(kicks) <= _POWER_CAP).all(axis=(1, 2))
-    if 0 < fits.sum() < count:
-        # Noiseless rows are independent: the rows of each span roll out apart.
-        parts = np.flatnonzero(fits), np.flatnonzero(~fits)
-        runs = [_rollout(step_mat[p], step_off[p], None, config, tail) for p in parts]
-        order = np.argsort(np.concatenate(parts))
-        return tuple(np.concatenate(column)[order] for column in zip(*runs))
     z0 = np.concatenate([config.e0, config.u0, [1.0]])
     ks = _sample_steps(config)
     start = ks.size // 2 if tail else 0
@@ -425,23 +420,22 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = Fal
     with np.errstate(over="ignore", invalid="ignore"):
         blow = BLOWUP_FACTOR * (1.0 + e0_norm[0])
         write(0, np.broadcast_to(z0, (count, 1, dim + 1)))
-        if not fits.all():
-            length = max(_BLOCK, _BATCH_FLOATS // (count * (dim + 1) ** 2))
+        if count == 1 and not fits[0]:
+            length = max(_BLOCK, _BATCH_FLOATS // (dim + 1) ** 2)
             span, table = 1, _power_table(hom, min(steps, length))
             usable = _leading_capped(table)
         full, rem = divmod(steps, span)
         if width:
             usable = np.minimum(usable, _BATCH_FLOATS // (span * width))
-        # Record r is the state after ends[r] spans (dense: every span ends on one).
+        # Record r is the state after ends[r] spans.
         ends = -(-ks.astype(np.int64) // span)
-        dense = ends[-1] == ks.size - 1
-        # Rows that stopped are carried as zeros.
-        live = np.ones(count, dtype=bool)
+        # Rows that stopped, or step in a batch of several, are carried as zeros.
+        live = fits | (count == 1)
         z = np.tile(z0, (count, 1))
         done, first = 0, 1
         while live.any() and done < full + (rem > 0):
             main = done < full
-            size = max(1, int(min(full - done, usable[live].min()))) if main else 1
+            size = max(1, int(min(full - done, usable[live].max()))) if main else 1
             block = np.matmul(z[:, None, None], table[:, :size] if main else last[:, None])[:, :, 0]
             if width:
                 # Each span's own draws, then those of earlier spans carried
@@ -454,13 +448,18 @@ def _rollout(step_mat, step_off, noise, config: CouplingConfig, tail: bool = Fal
                     kicked[:, lag:] += np.matmul(kicked[:, :-lag], table[:, lag - 1])
                     lag *= 2
                 block += kicked
-            stop = first + size if dense else int(np.searchsorted(ends, done + size, "right"))
-            samples = block if dense else block[:, ends[first:stop] - done - 1]
+            stop = int(np.searchsorted(ends, done + size, "right"))
+            samples = np.take(block, ends[first:stop] - done - 1, axis=1)
             write(first, samples)
             if stop > first:
                 keep(samples, first)
             z = np.where(live[:, None], block[:, -1], 0.0)
             done, first = done + size, stop
+    if count > 1:  # noiseless rows are independent, so a row can roll out again alone
+        own = (usable == usable.max(initial=0, where=fits)) | diverged & (ends[counts - 1] <= usable)
+        for row in np.flatnonzero(~(fits & own)):  # the rows not run by their own blocks
+            counts[row], diverged[row], kept[row] = (column[0] for column in _rollout(
+                step_mat[[row]], step_off[[row]], None, config, tail))
     return counts, diverged, kept
 
 

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixkit
-from .diffusion_controller import RngStream
+from .diffusion_controller import DiffusionParams, RngStream
 from .errors import (
     DatasetFormatError,
     DimensionError,
     ParameterError,
     RankDeficiencyError,
 )
-from .plant import PlantModel
-from .stability_analyzer import StabilityVerdict, analytic_1d, analytic_ndim
+from .plant import ExpertPolicy, PlantModel
+from .stability_analyzer import StabilityVerdict, analytic_verdict
 
 DEFAULT_COV_FLOOR = 1e-12
 
@@ -142,7 +142,8 @@ def _parse_records(numbered: list[tuple[int, str]], width: int) -> np.ndarray:
 def load_demonstrations(source) -> DemonstrationSet:
     """Parse demonstration CSV (header ``e_1..e_N,u_1..u_M``) from a text
     stream or string. Raises DatasetFormatError naming the offending line
-    for ragged rows, non-numeric fields, or a header-only file.
+    for ragged rows, non-numeric fields, or a header-only file, and naming
+    the stream for one that is not UTF-8 text.
 
     The text is read in one piece and split at newlines only (a text
     file's read has already translated its line endings); trailing carriage
@@ -152,7 +153,11 @@ def load_demonstrations(source) -> DemonstrationSet:
     through :func:`_parse_records`, which gives the error and line number,
     or the values for spellings only ``float`` reads
     (``1_0``, non-ASCII digits)."""
-    text = source if isinstance(source, str) else source.read()
+    try:
+        text = source if isinstance(source, str) else source.read()
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", "demonstration log")
+        raise DatasetFormatError(f"{name} is not UTF-8 text: {exc}") from None
     lines = text.split("\n")
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]
@@ -229,12 +234,11 @@ def estimate_covariance(demos: DemonstrationSet, k_hat) -> np.ndarray:
 def quality_report(
     plant: PlantModel, demos: DemonstrationSet, g: float, alpha: float
 ) -> QualityReport:
-    """Chain gain and covariance estimation into an analytic verdict.
-
-    Scalar plants go through the exact 1D test; matrix plants through the
-    N-dimensional sufficient conditions. The reported threshold is the
-    admissible sigma for the scalar (or isotropic) reading, or None when the
-    symmetric plant response has no positive eigenvalue.
+    """Chain gain and covariance estimation into the verdict ``analyze``
+    gives for the policy (K_hat, Sigma_hat) under (g, alpha), from
+    :func:`analytic_verdict`. The reported threshold is the admissible
+    sigma for the scalar (or isotropic) reading, or None when the symmetric
+    plant response has no positive eigenvalue.
     """
     if plant.n_states != demos.n_states or plant.n_inputs != demos.n_actions:
         raise DimensionError(
@@ -243,13 +247,10 @@ def quality_report(
         )
     k_hat = estimate_gain(demos)
     sigma_hat = estimate_covariance(demos, k_hat)
-    if plant.n_states == 1 and plant.n_inputs == 1:
-        sigma = float(np.sqrt(sigma_hat[0, 0]))
-        verdict = analytic_1d(plant.A[0, 0], plant.B[0, 0], k_hat[0, 0], sigma, g, alpha)
-        lam_max = float(plant.A[0, 0])
-    else:  # the estimates enter the analyzer here, so analytic_ndim checks them
-        verdict = analytic_ndim(plant.A, plant.B, k_hat, sigma_hat, g, alpha)
-        lam_max = float(matrixkit._eig_symmetric(0.5 * (plant.A + plant.A.T))[-1])
+    policy = ExpertPolicy(K=k_hat, Sigma=sigma_hat)
+    verdict = analytic_verdict(plant, policy, DiffusionParams(g=g, alpha=alpha))
+    # Halved before the sum, so a 1x1 A comes back exact even near overflow.
+    lam_max = float(matrixkit._eig_symmetric(0.5 * plant.A + 0.5 * plant.A.T)[-1])
     threshold = g * float(np.sqrt(alpha / lam_max)) if lam_max > 0.0 else None
     return QualityReport(
         k_hat=k_hat,

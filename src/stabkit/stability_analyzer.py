@@ -90,8 +90,7 @@ class EffectiveGain:
     def from_covariance(cls, g: float, alpha: float, Sigma) -> "EffectiveGain":
         g, alpha = float(g), float(alpha)
         matrixkit._check_positive(g=g, alpha=alpha)
-        precision = g * g * alpha * _covariance_inverse(Sigma)
-        return cls(matrixkit.symmetric_part(precision))
+        return cls(_precision(g, alpha, _covariance_inverse(Sigma)))
 
 
 def _covariance_inverse(Sigma) -> np.ndarray:
@@ -102,8 +101,8 @@ def _covariance_inverse(Sigma) -> np.ndarray:
 
 
 def _precision(g: float, alpha: float, sigma_inv: np.ndarray) -> np.ndarray:
-    """``EffectiveGain.from_covariance(g, alpha, Sigma).kprime`` from a
-    checked Sigma^{-1}, with the same refusals."""
+    """The effective precision g^2 alpha Sigma^{-1} from a checked
+    Sigma^{-1}; refused unless it is positive definite."""
     precision = matrixkit.symmetric_part(g * g * alpha * sigma_inv)
     if not matrixkit._positive_definite(precision):
         raise ParameterError("matrix effective gain must be positive definite")
@@ -271,10 +270,8 @@ def analytic_ndim(A, B, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
     Both passing yields "stable"; any failure yields "inconclusive" (the
     conditions are sufficient only). Margins are the eigenvalue slacks.
     """
-    g, alpha = float(g), float(alpha)
-    matrixkit._check_positive(g=g, alpha=alpha)
     a, b, k = _square_system(A, B, K)
-    return _ndim_verdict(a, b, k, _precision(g, alpha, _covariance_inverse(Sigma)))
+    return _ndim_verdict(a, b, k, EffectiveGain.from_covariance(g, alpha, Sigma).kprime)
 
 
 def _ndim_verdict(a, b, k, precision) -> StabilityVerdict:
@@ -449,14 +446,12 @@ def sweep_region(
     """Evaluate a 2-D parameter grid, row-major over (axis1, axis2), as
     columns.
 
-    With ``empirical``, every cell also gets the verdict of a deterministic
-    per-step simulation of its scalar system, from
-    :func:`~stabkit.coupled_sim.simulate_scalar_grid`: the cells are
-    compiled together, rolled out in batches and fitted as columns, with
-    no per-cell trajectory or ``classify_empirical`` call. The runs take
-    dt, horizon, e0, u0 and record_stride from ``sim_config`` and ignore
-    its mode and seed: no run draws noise, so nothing depends on a seed,
-    and no drift or inner-loop setting applies.
+    With ``empirical``, every cell also gets the verdict ``classify_empirical``
+    gives the deterministic per-step ``simulate`` run of its scalar system,
+    computed as columns by :func:`~stabkit.coupled_sim.simulate_scalar_grid`.
+    The runs take dt, horizon, e0, u0 and record_stride from ``sim_config``
+    and ignore its mode and seed: no run draws noise, and no drift or
+    inner-loop setting applies.
 
     A cell that a one-cell evaluation refuses (``analytic_1d``, or with
     ``empirical`` the cell's policy) raises that evaluation's error; the

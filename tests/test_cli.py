@@ -212,6 +212,31 @@ class TestSweep:
             assert fields[4] in ("stable", "unstable", "marginal")
             float(fields[5])
 
+    def test_empirical_rows_are_what_simulate_prints(self, tmp_path, capsys):
+        # K' dt past 2 diverges, and those cells' 4-step powers pass the cap
+        # within one power table; K' below A grows, the rest decays
+        coupling = {"mode": "per-step", "dt": 0.01, "horizon": 10.0, "e0": [1.0], "u0": [0.0],
+                    "record_stride": 4}
+        doc = {"plant": {"A": 2.0, "B": 1.0}, "policy": {"K": 3.0, "sigma": 0.5},
+               "coupling": coupling}
+        out = tmp_path / "region.csv"
+        assert cli.main(["sweep", "-c", write_config(tmp_path, doc), "--axis1", "A:0.5:3:6",
+                         "--axis2", "kprime:0.5:300:6", "-o", str(out), "--empirical"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        printed = []
+        for a, kprime, _, _, label, rate in rows:
+            sigma = math.sqrt(1.0 / float(kprime))  # g = alpha = 1
+            cell = {"plant": {"A": float(a), "B": 1.0},
+                    "policy": {"K": 3.0, "Sigma": [[sigma**2]]}, "coupling": coupling}
+            cfg = write_config(tmp_path, cell, "cell.json")
+            assert cli.main(["simulate", "-c", cfg, "-o", str(tmp_path / "cell.csv")]) == 0
+            verdict = json.loads(capsys.readouterr().out)
+            assert (label, float(rate)) == (verdict["label"], float(verdict["rate"]))
+            printed.append(verdict["label"])
+        assert len(rows) == 36
+        assert [float(row[5]) for row in rows].count(math.inf) > 0
+        assert {"stable", "unstable"} <= set(printed)
+
     def test_single_step_axis(self, tmp_path):
         doc = json.loads(json.dumps(BASE_DOC))
         cfg = write_config(tmp_path, doc)
@@ -497,6 +522,26 @@ class TestDatasetCheck:
         assert (report["g"], report["alpha"]) == (1.0, 1.0)
         assert report["sigma_threshold"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("n, spread, code", [(1, 0.4, 0), (2, 0.6, 3)])
+    def test_verdict_is_what_analyze_prints_for_the_fit(self, tmp_path, capsys, n, spread, code):
+        k, sigma = 5.0 * np.eye(n) + 0.5, spread * np.eye(n)
+        demos = generate_demonstrations(k, sigma @ sigma, 3000, RngStream(8))
+        header = ",".join([f"e_{i + 1}" for i in range(n)] + [f"u_{i + 1}" for i in range(n)])
+        rows = np.hstack([demos.states, demos.actions])
+        log = tmp_path / "demos.csv"
+        log.write_text(header + "\n" + "".join(",".join("%.17g" % v for v in r) + "\n"
+                                               for r in rows))
+        plant = {"A": (4.0 * np.eye(n) + 0.25).tolist(), "B": np.eye(n).tolist()}
+        diffusion = {"g": 1.1, "alpha": 0.9}
+        cfg = write_config(tmp_path, {"plant": plant, "diffusion": diffusion}, "plant.json")
+        assert cli.main(["dataset-check", "-d", str(log), "-c", cfg]) == code
+        report = json.loads(capsys.readouterr().out)
+        policy = {"K": report["k_hat"], "Sigma": report["sigma_hat"]}
+        doc = {"plant": plant, "policy": policy, "diffusion": diffusion}
+        assert cli.main(["analyze", "-c", write_config(tmp_path, doc, "fit.json")]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert (report["label"], report["margins"]) == (verdict["label"], verdict["margins"])
+
     def test_rank_deficient_log_is_refused(self, tmp_path, capsys):
         # states (x, x + 2e-7 y): cond(E) ~ 1e7 is past the rank cut-off
         draws = RngStream(21).standard_normal((2000, 2))
@@ -512,6 +557,38 @@ class TestDatasetCheck:
         assert cli.main(["dataset-check", "-d", str(demos), "-c", cfg]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "rank deficient" in err[0]
+
+
+class TestUndecodableInput:
+    """Inputs the parser cannot read are refused, naming the file."""
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b'{"plant": {"A": 2.0, "B": 1.0}}\xff', "'utf-8' codec can't decode byte 0xff in "
+          "position 31: invalid start byte"),
+         (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+         pytest.param(b'{"plant": {"A": ' + b"9" * 5000 + b', "B": 1.0}}', "Exceeds the limit",
+                      marks=pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                               reason="no integer digit limit"))],
+        ids=["byte-0xff", "nested-arrays", "long-integer"],
+    )
+    def test_config_is_refused(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert cli.main(["analyze", "-c", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path} is not valid JSON: {reason}")
+        assert err.count("\n") == 1
+
+    def test_demonstration_log_is_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"plant": {"A": 4.0, "B": 1.0}}, "plant.json")
+        log = tmp_path / "demos.csv"
+        log.write_bytes(b"e_1,u_1\n1,2\n\xff,3\n")
+        assert cli.main(["dataset-check", "-d", str(log), "-c", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {log} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+            "position 12: invalid start byte\n"
+        )
 
 
 class TestDeterminism:
@@ -584,6 +661,19 @@ class TestSweepRefusals:
             ) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: axis 'A'")
+        assert not out.exists()
+
+    def test_unallocatable_grid_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the grid's first column stands in for a grid past the address space
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "repeat", no_memory)
+        out = tmp_path / "r.csv"
+        argv = ["sweep", "-c", write_config(tmp_path, BASE_DOC), "--axis1", "A:0:1:3",
+                "--axis2", "K:0.5:2:4", "-o", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: a 3 x 4 sweep grid is more than memory holds\n"
         assert not out.exists()
 
     def test_empirical_sweep_checks_start_length(self, tmp_path, capsys):

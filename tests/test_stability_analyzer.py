@@ -26,12 +26,6 @@ from stabkit.stability_analyzer import EffectiveGain
 
 RNG = np.random.default_rng(555)
 
-# An empirical sweep cell's fitted rate and residual against its own run:
-# slopes of log-norms that differ in their last bits, so the allowed gap is
-# a few eps, absolute for rates near 0 and relative for large ones.
-RATE_TOL = 16 * np.finfo(float).eps
-
-
 class TestAugmentedMatrix:
     def test_worked_example(self):
         out = augmented_matrix(2.0, 1.0, 3.0, 3.0)
@@ -394,7 +388,8 @@ class TestSweepRegion:
             )
             expected = classify_empirical(trajectory)
             assert grid.empirical_label[index] == expected.label
-            assert grid.empirical_rate[index] == pytest.approx(expected.rate, rel=1e-9)
+            assert grid.empirical_rate[index] == expected.rate
+            assert grid.empirical_residual[index] == expected.residual
             rates.append(expected.rate)
         assert len(rates) == 36
         assert math.inf in rates
@@ -650,29 +645,39 @@ class TestGridVerdictParity:
 
 class TestGridEmpiricalParity:
     """Empirical cells compiled from columns give the verdicts of per-cell
-    ``simulate`` runs: labels and divergence exactly, rates and residuals up
-    to the last bits, which depend on the cells sharing a rollout batch."""
+    ``simulate`` runs exactly: labels, divergence, rates and residuals, on
+    whichever cells share a rollout batch."""
 
     BASE = {"A": 2.0, "B": 1.0, "K": 3.0, "sigma": 0.5, "g": 1.0, "alpha": 1.0}
 
     @pytest.mark.parametrize("batch_floats", [coupled_sim._BATCH_FLOATS, 5000])
     @pytest.mark.parametrize(
-        "axis1, axis2",
+        "axis1, axis2, dt, stride, e0",
         [
             # kprime past K' dt = 2 (Euler diverges) and below K' = A
-            (AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6)),
-            (AxisSpec("K", 0.4, 4.0, 5), AxisSpec("sigma", 0.02, 1.5, 7)),
-            (AxisSpec("g", 0.5, 2.0, 1), AxisSpec("B", -1.0, 4.0, 9)),
+            (AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6), 1e-2, 4, 1.0),
+            (AxisSpec("K", 0.4, 4.0, 5), AxisSpec("sigma", 0.02, 1.5, 7), 1e-2, 4, 1.0),
+            (AxisSpec("g", 0.5, 2.0, 1), AxisSpec("B", -1.0, 4.0, 9), 1e-2, 4, 1.0),
             # K' dt up to 1e30: those cells' 4-step maps pass the power cap
-            (AxisSpec("A", 0.5, 3.0, 4), AxisSpec("kprime", 1.0, 1e32, 4)),
+            (AxisSpec("A", 0.5, 3.0, 4), AxisSpec("kprime", 1.0, 1e32, 4), 1e-2, 4, 1.0),
+            # K' dt up to 3 or 4: diverging cells whose power tables are
+            # capped at many lengths, and stride-1 grids with whole tables
+            (AxisSpec("A", 0.5, 3.0, 12), AxisSpec("kprime", 0.5, 240.0, 12), 1 / 80, 4, 1.0),
+            (AxisSpec("A", 0.5, 3.0, 12), AxisSpec("kprime", 0.5, 4000.0, 12), 1e-3, 4, 1.0),
+            (AxisSpec("A", 0.5, 3.0, 12), AxisSpec("kprime", 0.5, 400.0, 12), 1e-2, 1, 1.0),
+            (AxisSpec("A", 0.5, 3.0, 12), AxisSpec("kprime", 0.5, 240.0, 12), 1 / 80, 1, 1.0),
+            # a start so small that growing cells outlast their usable powers,
+            # and some never blow up
+            (AxisSpec("A", 0.5, 3.0, 12), AxisSpec("kprime", 0.5, 240.0, 12), 1 / 80, 4, 1e-190),
         ],
     )
-    def test_verdicts_match_per_cell_runs(self, monkeypatch, batch_floats, axis1, axis2):
+    def test_verdicts_match_per_cell_runs(self, monkeypatch, batch_floats, axis1, axis2, dt,
+                                          stride, e0):
         monkeypatch.setattr(coupled_sim, "_BATCH_FLOATS", batch_floats)
         # the sweep runs per-step and deterministic whatever the mode and seed
         sim = CouplingConfig(
-            mode="inner-loop", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0], seed=5,
-            record_stride=4,
+            mode="inner-loop", dt=dt, horizon=10.0, e0=[e0], u0=[0.0], seed=5,
+            record_stride=stride,
         )
         grid = sweep_region(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
         expected = []
@@ -683,8 +688,8 @@ class TestGridEmpiricalParity:
                 ExpertPolicy(K=[[p["K"]]], Sigma=[[p["sigma"] ** 2]]),
                 DiffusionParams(g=p["g"], alpha=p["alpha"]),
                 CouplingConfig(
-                    mode="per-step", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0],
-                    record_stride=4,
+                    mode="per-step", dt=dt, horizon=10.0, e0=[e0], u0=[0.0],
+                    record_stride=stride,
                 ),
             )))
         assert grid.empirical_label.tolist() == [v.label for v in expected]
@@ -693,10 +698,8 @@ class TestGridEmpiricalParity:
         assert (grid.empirical_rate == math.inf).tolist() == diverged
         if axis1.name == "A":
             assert any(diverged)
-        rates = np.array([v.rate for v in expected])
-        residuals = np.array([v.residual for v in expected])
-        np.testing.assert_allclose(grid.empirical_rate, rates, rtol=RATE_TOL, atol=RATE_TOL)
-        np.testing.assert_allclose(grid.empirical_residual, residuals, rtol=RATE_TOL, atol=RATE_TOL)
+        assert grid.empirical_rate.tolist() == [v.rate for v in expected]
+        assert grid.empirical_residual.tolist() == [v.residual for v in expected]
         assert grid.empirical_rate.shape == grid.empirical_residual.shape == (len(grid),)
 
     def test_empirical_sweep_builds_no_trajectory(self, monkeypatch):
@@ -730,12 +733,14 @@ class TestGridEmpiricalParity:
 
     def test_zero_start_is_stable_on_every_cell(self):
         # the exact zero equilibrium stays zero even where K' dt reaches 1e30
-        # and the stride-25 maps pass the power cap
+        # and the stride-25 maps pass the power cap, and where K' dt of 3 to 4
+        # overflows the later powers of a table whose first ones are usable
         sim = CouplingConfig(
             mode="per-step", dt=1e-2, horizon=10.0, e0=[0.0], u0=[0.0], record_stride=25,
         )
-        grid = sweep_region(self.BASE, AxisSpec("A", -1.0, 3.0, 5), AxisSpec("kprime", 1.0, 1e32, 7),
-                            empirical=True, sim_config=sim)
-        assert grid.empirical_label.tolist() == ["stable"] * len(grid)
-        assert grid.empirical_rate.tolist() == [-math.inf] * len(grid)
-        assert grid.empirical_residual.tolist() == [0.0] * len(grid)
+        for kprime in (AxisSpec("kprime", 1.0, 1e32, 7), AxisSpec("kprime", 0.5, 400.0, 12)):
+            grid = sweep_region(self.BASE, AxisSpec("A", -1.0, 3.0, 5), kprime,
+                                empirical=True, sim_config=sim)
+            assert grid.empirical_label.tolist() == ["stable"] * len(grid)
+            assert grid.empirical_rate.tolist() == [-math.inf] * len(grid)
+            assert grid.empirical_residual.tolist() == [0.0] * len(grid)

@@ -2,10 +2,11 @@
 
 ``hash`` runs every request of the perfbench pools (simulate-mix,
 sweep-region and analyze-gate, warm-ups included) for the given seeds
-through ``stabkit.cli.main`` of one checkout, and writes one SHA-256 per
-request over its exit codes, stdout, stderr and output files. ``compare``
-reads two such files and lists the requests whose hashes differ; it exits
-1 if any do.
+through ``stabkit.cli.main`` of one checkout, and writes one digest per
+part of each request: each call's exit code and the SHA-256 of its stdout
+and stderr, and the SHA-256 of each output file, by file name.
+``compare`` reads two such files and lists, per request, the parts whose
+digests differ; it exits 1 if any do.
 
 Run from the root of a stabkit checkout; the pools come from this
 checkout's ``perfbench/workloads.py``, the code under test from ``--root``:
@@ -48,17 +49,26 @@ def _run_call(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def request_digest(main, request) -> str:
-    h = hashlib.sha256()
-    for argv in request["calls"]:
-        h.update(json.dumps(_run_call(main, argv)).encode("utf-8"))
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def request_digests(main, request) -> dict:
+    """The digest of each part of one request, by part name."""
+    parts = {}
+    for index, argv in enumerate(request["calls"]):
+        code, out, err = _run_call(main, argv)
+        parts[f"call {index} exit"] = code
+        parts[f"call {index} stdout"] = _sha256(out.encode("utf-8"))
+        parts[f"call {index} stderr"] = _sha256(err.encode("utf-8"))
     for path in request["outputs"]:
         try:
             with open(path, "rb") as handle:
-                h.update(handle.read())
+                digest = _sha256(handle.read())
         except OSError:
-            h.update(b"<missing>")
-    return h.hexdigest()
+            digest = "<missing>"
+        parts[os.path.basename(path)] = digest
+    return parts
 
 
 def hash_checkout(root: str, seeds, work: str) -> dict:
@@ -79,26 +89,32 @@ def hash_checkout(root: str, seeds, work: str) -> dict:
                 for kind, requests in (("warmup", pool.warmup), ("request", pool.requests)):
                     for index, request in enumerate(requests):
                         key = f"{workload}/{seed}/{kind}/{index}"
-                        digests[key] = request_digest(main, request)
+                        digests[key] = request_digests(main, request)
     finally:
         os.chdir(cwd)
     return digests
 
 
 def compare(first: dict, second: dict) -> list[str]:
-    """Keys whose hashes differ or that only one file has."""
-    return sorted(key for key in first.keys() | second.keys() if first.get(key) != second.get(key))
+    """``request: part`` for every part whose digest differs or that only
+    one file has."""
+    differing = []
+    for key in sorted(first.keys() | second.keys()):
+        ours, theirs = first.get(key, {}), second.get(key, {})
+        parts = sorted(ours.keys() | theirs.keys())
+        differing += [f"{key}: {part}" for part in parts if ours.get(part) != theirs.get(part)]
+    return differing
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p_hash = sub.add_parser("hash", help="hash every request's outputs in one checkout")
+    p_hash = sub.add_parser("hash", help="digest every request's parts in one checkout")
     p_hash.add_argument("--root", required=True, help="checkout whose src/stabkit runs")
     p_hash.add_argument("--seeds", type=int, nargs="+", required=True)
     p_hash.add_argument("--out", required=True)
     p_hash.add_argument("--work", default=DEFAULT_WORK)
-    p_cmp = sub.add_parser("compare", help="list requests whose hashes differ")
+    p_cmp = sub.add_parser("compare", help="list the request parts whose digests differ")
     p_cmp.add_argument("first")
     p_cmp.add_argument("second")
     args = parser.parse_args(argv)
@@ -114,9 +130,9 @@ def main(argv=None) -> int:
     with open(args.second, "r", encoding="utf-8") as handle:
         second = json.load(handle)
     differing = compare(first, second)
-    for key in differing:
-        print(f"differs: {key}")
-    print(f"{len(differing)} of {len(first.keys() | second.keys())} requests differ")
+    for part in differing:
+        print(f"differs: {part}")
+    print(f"{len(differing)} parts differ over {len(first.keys() | second.keys())} requests")
     return 1 if differing else 0
 
 
