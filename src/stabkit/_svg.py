@@ -199,14 +199,16 @@ def region_map(
     y_low, y_high = _clip(_edges(y_list), frame.y_min, frame.y_max)
     x0, x1 = frame.x(x_low), frame.x(x_high)
     y0, y1 = frame.y(y_high), frame.y(y_low)
-    stable = np.asarray(stable_grid, dtype=bool)
-    nx, ny = stable.shape
-    rects = svg_rows([
-        '<rect x="', np.repeat(x0, ny), '" y="', np.tile(y0, nx),
-        '" width="', np.repeat(x1 - x0, ny), '" height="', np.tile(y1 - y0, nx),
-        '" fill="', np.where(stable, STABLE_FILL, UNSTABLE_FILL).ravel(), '"/>\n',
-    ])
-    parts.append(rects[:-1])
+    xs = [(svg_number(x), svg_number(w)) for x, w in zip(x0.tolist(), (x1 - x0).tolist())]
+    ys = [(svg_number(y), svg_number(h)) for y, h in zip(y0.tolist(), (y1 - y0).tolist())]
+    fill = (UNSTABLE_FILL, STABLE_FILL)  # by stability
+    # One string per column, so no more than a column of rectangles is held
+    # as small strings at a time.
+    parts.append("\n".join([
+        "\n".join([f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill[stable]}"/>'
+                   for (y, h), stable in zip(ys, column)])
+        for (x, w), column in zip(xs, np.asarray(stable_grid, dtype=bool).tolist())
+    ]))
     if boundary:
         points = np.asarray(boundary, dtype=float)
         parts.append(

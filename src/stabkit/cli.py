@@ -35,7 +35,7 @@ from .coupled_sim import (
 from .dataset_quality import load_demonstrations, quality_report
 from .diffusion_controller import DiffusionParams
 from .errors import ConfigError, ParameterError, StabkitError
-from .plant import ExpertPolicy, PlantModel
+from .plant import ExpertPolicy, PlantModel, _check_fit
 from .stability_analyzer import (
     AxisSpec,
     StabilityVerdict,
@@ -258,6 +258,7 @@ def cmd_sweep(args) -> int:
     plant, policy, diffusion = config.plant, config.policy, config.diffusion
     if plant.n_states != 1 or plant.n_inputs != 1:
         raise ParameterError("sweep requires a scalar plant")
+    _check_fit(plant.B, policy.K)
     axis1 = _parse_axis_flag(args.axis1)
     axis2 = _parse_axis_flag(args.axis2)
     base = {
@@ -310,6 +311,7 @@ def cmd_phase_plane(args) -> int:
     )
     if plant.n_states != 1 or plant.n_inputs != 1:
         raise ParameterError("phase plane requires a scalar plant")
+    _check_fit(plant.B, policy.K)  # before the --kprime policies are built from K
     kprimes: list[float] = []
     if args.kprime:
         for token in args.kprime.split(","):

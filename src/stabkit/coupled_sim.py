@@ -34,8 +34,8 @@ import numpy as np
 
 from . import _textfmt, matrixkit
 from .diffusion_controller import DiffusionParams, RngStream, default_inner_dt
-from .errors import DimensionError, ParameterError
-from .plant import ExpertPolicy, PlantModel
+from .errors import ParameterError
+from .plant import ExpertPolicy, PlantModel, _check_fit
 
 # A recorded state or action norm beyond BLOWUP_FACTOR * (1 + |e0|) declares
 # divergence; non-finite values are flagged the same way rather than thrown.
@@ -155,15 +155,10 @@ class ComparisonReport:
 def _validate_run(
     plant: PlantModel, policy: ExpertPolicy, diffusion: DiffusionParams, config: CouplingConfig
 ):
-    n, m = plant.n_states, plant.n_inputs
-    if policy.n_states != n or policy.n_actions != m:
-        raise DimensionError(
-            f"policy K is {policy.n_actions}x{policy.n_states}, plant expects "
-            f"{m}x{n}"
-        )
-    _check_start(config, n, m)
+    _check_fit(plant.B, policy.K)
+    _check_start(config, plant.n_states, plant.n_inputs)
     if diffusion.drift is not None:
-        matrixkit._check_length(diffusion.drift, "drift", "plant", m)
+        matrixkit._check_length(diffusion.drift, "drift", "plant", plant.n_inputs)
 
 
 def _check_start(config: CouplingConfig, n: int, m: int):

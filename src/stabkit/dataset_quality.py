@@ -249,8 +249,7 @@ def quality_report(
     sigma_hat = estimate_covariance(demos, k_hat)
     policy = ExpertPolicy(K=k_hat, Sigma=sigma_hat)
     verdict = analytic_verdict(plant, policy, DiffusionParams(g=g, alpha=alpha))
-    # Halved before the sum, so a 1x1 A comes back exact even near overflow.
-    lam_max = float(matrixkit._eig_symmetric(0.5 * plant.A + 0.5 * plant.A.T)[-1])
+    lam_max = float(np.linalg.eigvalsh(matrixkit._symmetric(plant.A))[-1])
     threshold = g * float(np.sqrt(alpha / lam_max)) if lam_max > 0.0 else None
     return QualityReport(
         k_hat=k_hat,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixkit
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .plant import ExpertPolicy
 
 _SEED_MASK = (1 << 64) - 1
@@ -115,10 +115,7 @@ def denoise_step(
     s = _score(policy, matrixkit.as_vector(e, "error state e"), u)
     gain = params.g * params.g * params.alpha
     if params.drift is not None:
-        if params.drift.shape[0] != u.shape[0]:
-            raise DimensionError(
-                f"drift has length {params.drift.shape[0]}, expected {u.shape[0]}"
-            )
+        matrixkit._check_length(params.drift, "drift", "policy", policy.n_actions)
         u_next = u + (params.drift + gain * s) * dt
     else:
         u_next = u + gain * s * dt

@@ -5,9 +5,8 @@ Cholesky factor, singular values and inverses; this module keeps the
 contracts around them: the relative symmetry tolerance, the relative
 positive-definite pivot rule, and the singularity rule of :func:`invert`,
 which refuses a matrix whose smallest singular value is at most
-``PIVOT_RTOL`` times its largest entry magnitude. 2x2 eigenvalues use a
-cancellation-safe quadratic formula. All operations are pure functions on
-immutable values.
+``PIVOT_RTOL`` times its largest entry magnitude. All operations are pure
+functions on immutable values.
 
 The coercions :func:`as_real`, :func:`as_whole`, :func:`as_matrix` and
 :func:`as_vector` hold the type rules of every numeric field in the package.
@@ -20,7 +19,6 @@ finite square float arrays and answer as the public function they name would.
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -140,7 +138,11 @@ def _check_length(v: np.ndarray, name: str, owner: str, length: int):
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(m, name)
+    return _check_square(as_matrix(m, name), name)
+
+
+def _check_square(m: np.ndarray, name: str) -> np.ndarray:
+    """``m``; DimensionError unless it is square."""
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
@@ -153,8 +155,19 @@ def symmetric_part(m) -> np.ndarray:
     entry-for-entry; symmetric inputs are returned unchanged in value and
     the operation is exactly idempotent.
     """
-    m = require_square(m)
-    return 0.5 * (m + m.T)
+    return _symmetric(require_square(m))
+
+
+@np.errstate(over="ignore")
+def _symmetric(s: np.ndarray) -> np.ndarray:
+    """``0.5 * (S + S^T)`` of a square matrix, or of each in a stack, bit for
+    bit wherever the sum is finite. Where it overflows, the halves are added
+    instead, so a finite input has a finite symmetric part."""
+    flipped = s.swapaxes(-1, -2)
+    total = s + flipped
+    if np.isfinite(total).all():
+        return 0.5 * total
+    return np.where(np.isinf(total), 0.5 * s + 0.5 * flipped, 0.5 * total)
 
 
 def check_symmetric(s, name: str = "matrix") -> np.ndarray:
@@ -169,7 +182,7 @@ def check_symmetric(s, name: str = "matrix") -> np.ndarray:
             f"{name} is asymmetric beyond tolerance: max|S - S^T| = {skew:.3e}, "
             f"allowed {allowed:.3e}"
         )
-    return 0.5 * (s + s.T)
+    return _symmetric(s)
 
 
 def eig_sym(s) -> np.ndarray:
@@ -179,11 +192,6 @@ def eig_sym(s) -> np.ndarray:
     ``SYMMETRY_RTOL``; smaller asymmetries are silently symmetrized.
     """
     return np.linalg.eigvalsh(check_symmetric(s, "eig_sym input"))
-
-
-def _eig_symmetric(s: np.ndarray) -> np.ndarray:
-    """:func:`eig_sym` of an exactly symmetric ``s``, possibly non-finite."""
-    return np.linalg.eigvalsh(_finite(s, "eig_sym input"))
 
 
 def _cholesky_pivots(s: np.ndarray) -> np.ndarray | None:
@@ -209,10 +217,11 @@ def is_positive_definite(s) -> bool:
     return _cholesky_pivots(check_symmetric(s, "is_positive_definite input")) is not None
 
 
-def _positive_definite(s: np.ndarray) -> bool:
-    """:func:`is_positive_definite` of an exactly symmetric ``s``, possibly
-    non-finite."""
-    return _cholesky_pivots(_finite(s, "is_positive_definite input")) is not None
+def _require_positive_definite(s: np.ndarray, name: str) -> np.ndarray:
+    """Symmetric ``s``; ParameterError unless it passes the pivot rule."""
+    if _cholesky_pivots(s) is None:
+        raise ParameterError(f"{name} must be positive definite")
+    return s
 
 
 def cholesky(s) -> np.ndarray:
@@ -244,29 +253,3 @@ def _nonsingular(m: np.ndarray) -> np.ndarray:
         )
     return m
 
-
-def eig_2x2(m) -> tuple[complex, complex]:
-    """Both eigenvalues of a 2x2 matrix as complex numbers.
-
-    Roots of lambda^2 - tr(M) lambda + det(M), computed with the
-    cancellation-safe quadratic formula. Returned with real parts in
-    descending order (positive imaginary part first on ties).
-    """
-    m = as_matrix(m, "eig_2x2 input")
-    if m.shape != (2, 2):
-        raise DimensionError(f"eig_2x2 requires a 2x2 matrix, got shape {m.shape}")
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        if tr >= 0.0:
-            r1 = 0.5 * (tr + sq)
-        else:
-            r1 = 0.5 * (tr - sq)
-        r2 = det / r1 if r1 != 0.0 else 0.0
-        hi, lo = (r1, r2) if r1 >= r2 else (r2, r1)
-        return complex(hi), complex(lo)
-    im = 0.5 * math.sqrt(-disc)
-    re = 0.5 * tr
-    return complex(re, im), complex(re, -im)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixkit
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ class ExpertPolicy:
                 f"policy Sigma must be {k.shape[0]}x{k.shape[0]} to match K, "
                 f"got {sigma.shape}"
             )
-        if not matrixkit._positive_definite(sigma):
-            raise ParameterError("policy Sigma must be positive definite")
+        matrixkit._require_positive_definite(sigma, "policy Sigma")
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "Sigma", sigma)
 
@@ -91,6 +90,14 @@ class ExpertPolicy:
     @property
     def n_states(self) -> int:
         return self.K.shape[1]
+
+
+def _check_fit(b: np.ndarray, k: np.ndarray):
+    """DimensionError unless the gain ``k`` is M x N for a plant whose input
+    matrix ``b`` is N x M: the policy fits the plant."""
+    n, m = b.shape
+    if k.shape != (m, n):
+        raise DimensionError(f"policy K is {k.shape[0]}x{k.shape[1]}, plant expects {m}x{n}")
 
 
 def plant_derivative(plant: PlantModel, e, u) -> np.ndarray:

@@ -32,7 +32,7 @@ from .coupled_sim import (
 )
 from .diffusion_controller import DiffusionParams
 from .errors import DimensionError, NonFiniteError, ParameterError
-from .plant import ExpertPolicy, PlantModel
+from .plant import ExpertPolicy, PlantModel, _check_fit
 
 # Margins within TIE_EPSILON (relative) of zero classify as "marginal": the
 # underlying conditions are strict inequalities with no boundary behavior.
@@ -94,9 +94,7 @@ class EffectiveGain:
 
 
 def _covariance_inverse(Sigma) -> np.ndarray:
-    sigma = matrixkit.check_symmetric(Sigma, "Sigma")
-    if not matrixkit._positive_definite(sigma):
-        raise ParameterError("Sigma must be positive definite")
+    sigma = matrixkit._require_positive_definite(matrixkit.check_symmetric(Sigma, "Sigma"), "Sigma")
     return np.linalg.inv(matrixkit._nonsingular(sigma))
 
 
@@ -104,9 +102,7 @@ def _precision(g: float, alpha: float, sigma_inv: np.ndarray) -> np.ndarray:
     """The effective precision g^2 alpha Sigma^{-1} from a checked
     Sigma^{-1}; refused unless it is positive definite."""
     precision = matrixkit.symmetric_part(g * g * alpha * sigma_inv)
-    if not matrixkit._positive_definite(precision):
-        raise ParameterError("matrix effective gain must be positive definite")
-    return precision
+    return matrixkit._require_positive_definite(precision, "matrix effective gain")
 
 
 def _square_system(A, B, K):
@@ -116,8 +112,7 @@ def _square_system(A, B, K):
     k = matrixkit.as_matrix(K, "K")
     if b.shape[0] != a.shape[0]:
         raise DimensionError("A and B must have matching row counts")
-    if k.shape != (b.shape[1], a.shape[0]):
-        raise DimensionError(f"K must be {b.shape[1]}x{a.shape[0]}, got {k.shape}")
+    _check_fit(b, k)
     matrixkit._nonsingular(b)
     return a, b, k
 
@@ -140,12 +135,10 @@ def augmented_matrix(A, B, K, lam) -> np.ndarray:
     a = matrixkit.require_square(A, "A")
     b = matrixkit.as_matrix(B, "B")
     k = matrixkit.as_matrix(K, "K")
-    n = a.shape[0]
-    m = b.shape[1]
-    if b.shape[0] != n:
-        raise DimensionError(f"B must have {n} rows, got {b.shape[0]}")
-    if k.shape != (m, n):
-        raise DimensionError(f"K must be {m}x{n}, got {k.shape}")
+    n, m = b.shape
+    if n != a.shape[0]:
+        raise DimensionError(f"B must have {a.shape[0]} rows, got {n}")
+    _check_fit(b, k)
     lam_arr = np.asarray(lam, dtype=float)
     if lam_arr.ndim == 0:
         lam_mat = float(lam_arr) * np.eye(m)
@@ -276,12 +269,12 @@ def analytic_ndim(A, B, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
 
 def _ndim_verdict(a, b, k, precision) -> StabilityVerdict:
     """:func:`analytic_ndim` of a checked system and its effective precision."""
-    lam_max_s1 = float(matrixkit._eig_symmetric(0.5 * (a + a.T))[-1])
-    lam_min_p = float(np.linalg.eigvalsh(precision)[0])  # _precision checked it finite
+    lam_max_s1 = float(np.linalg.eigvalsh(matrixkit._symmetric(a))[-1])
+    lam_min_p = float(np.linalg.eigvalsh(precision)[0])
     margin_gain = lam_min_p - lam_max_s1
 
     closed_loop_sym = matrixkit.symmetric_part(precision @ (a - b @ k))
-    lam_max_cl = float(matrixkit._eig_symmetric(closed_loop_sym)[-1])
+    lam_max_cl = float(np.linalg.eigvalsh(closed_loop_sym)[-1])
     margin_cl = -lam_max_cl
 
     margins = {"gain_vs_plant": margin_gain, "closed_loop": margin_cl}
@@ -311,13 +304,15 @@ def analytic_verdict(
     """The verdict for ``plant`` under ``policy`` and ``diffusion``:
     :func:`analytic_1d` with sigma = sqrt(Sigma) for a 1x1 plant, else
     :func:`analytic_ndim`. Their constructors checked every array, so only
-    how the three fit together is checked here."""
+    how the three fit together is checked here: the policy fits the plant,
+    and an N-D plant's B is square and nonsingular."""
     g, alpha = diffusion.g, diffusion.alpha
+    _check_fit(plant.B, policy.K)
     if plant.n_states == 1 and plant.n_inputs == 1:
         sigma = float(np.sqrt(policy.Sigma[0, 0]))
         return analytic_1d(plant.A[0, 0], plant.B[0, 0], policy.K[0, 0], sigma, g, alpha)
-    a, b, k = _square_system(plant.A, plant.B, policy.K)
-    return _ndim_verdict(a, b, k, _precision(g, alpha, policy.sigma_inv))
+    b = matrixkit._nonsingular(matrixkit._check_square(plant.B, "B"))
+    return _ndim_verdict(plant.A, b, policy.K, _precision(g, alpha, policy.sigma_inv))
 
 
 def classify_table_row(
@@ -499,12 +494,12 @@ def sweep_region(
 
 def _policy_variance(sigma: np.ndarray) -> np.ndarray:
     """The variance ``ExpertPolicy(K, [[sigma ** 2]])`` stores for each cell:
-    its symmetric part, inf where the square or its symmetrization
-    overflows. The squares are taken one by one, as ``**`` on one float,
-    which can round differently from ``sigma * sigma`` in the last bit."""
+    its symmetric part, inf where the square overflows. The squares are
+    taken one by one, as ``**`` on one float, which can round differently
+    from ``sigma * sigma`` in the last bit."""
     with np.errstate(over="ignore"):
         squared = np.array([value**2 for value in sigma])
-        return 0.5 * (squared + squared)
+    return matrixkit._symmetric(squared.reshape(-1, 1, 1)).reshape(-1)
 
 
 def _evaluate_cell(params: dict, empirical: bool):

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 import stabkit as sk
-from stabkit.matrixkit import eig_2x2
 from stabkit.stability_analyzer import augmented_matrix
 
 MIN_MEASURABLE_RATE = 0.08
@@ -56,8 +55,12 @@ def plan_rate_sim(hi: complex, lo: complex):
 
 
 def coupled_eigenvalues(a, b, k, kprime):
-    """Eigenvalues of the scalar joint dynamics at effective gain kprime."""
-    return eig_2x2(augmented_matrix(a, b, k, kprime))
+    """Eigenvalues of the scalar joint dynamics at effective gain kprime, as
+    complex numbers with real parts descending (positive imaginary part
+    first on ties)."""
+    pair = np.linalg.eigvals(augmented_matrix(a, b, k, kprime)).astype(complex).tolist()
+    hi, lo = sorted(pair, key=lambda z: (-z.real, -z.imag))
+    return hi, lo
 
 
 def measure_rate(a, b, k, kprime, dt, horizon, stride, g=1.0, alpha=1.0, e0=1.0):

@@ -14,8 +14,13 @@ from scipy import stats
 
 import stabkit as sk
 from stabkit import cli
-from stabkit.matrixkit import eig_2x2, eig_sym, symmetric_part
-from helpers import draw_measurable_scalar_system, measure_rate, plan_rate_sim
+from stabkit.matrixkit import eig_sym, symmetric_part
+from helpers import (
+    coupled_eigenvalues,
+    draw_measurable_scalar_system,
+    measure_rate,
+    plan_rate_sim,
+)
 
 import json
 
@@ -123,7 +128,7 @@ def _draw_table_row(rng, row):
             continue
         b = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
         k = (a - closed) / b
-        hi, lo = eig_2x2(sk.augmented_matrix(a, b, k, kprime))
+        hi, lo = coupled_eigenvalues(a, b, k, kprime)
         plan = plan_rate_sim(hi, lo)
         if plan is None:
             continue

@@ -687,6 +687,27 @@ class TestSweepRefusals:
         assert capsys.readouterr().err == "error: e0 has length 2, plant expects 1\n"
 
 
+class TestPolicyFitsPlant:
+    """A K that does not fit the plant is refused by every command that reads
+    a policy, with one message."""
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "sweep", "phase-plane"])
+    def test_tall_K_on_a_scalar_plant_is_refused(self, tmp_path, capsys, command):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["policy"] = {"K": [[3.0], [1.0]], "Sigma": [[0.5, 0.0], [0.0, 0.5]]}
+        out = tmp_path / "out.csv"
+        argv = {
+            "simulate": ["-o", str(out)],
+            "analyze": [],
+            "sweep": ["--axis1", "A:1:2:2", "--axis2", "K:1:2:2", "-o", str(out)],
+            "phase-plane": ["--kprime", "1,2", "-o", str(out)],
+        }[command]
+        assert cli.main([command, "-c", write_config(tmp_path, doc)] + argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: policy K is 2x1, plant expects 1x1\n")
+        assert not out.exists()
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; a sequence of calls in
     one process must print and write what each call does in a fresh one."""

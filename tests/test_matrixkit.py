@@ -97,6 +97,26 @@ class TestSymmetricPart:
         with pytest.raises(NonFiniteError):
             mk.symmetric_part([[np.nan, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("low, high", [(-3, 3), (-323, -307), (-323, 307)])
+    def test_plain_formula_bit_for_bit_where_the_sum_is_finite(self, low, high):
+        # entries of 10**low to 10**high: normal, subnormal, then both mixed
+        rng = np.random.default_rng(high - low)
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            s = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(low, high, size=(n, n))
+            want = 0.5 * (s + s.T)
+            assert np.isfinite(want).all()
+            assert mk.symmetric_part(s).tobytes() == want.tobytes()
+            assert mk.check_symmetric(want).tobytes() == want.tobytes()
+
+    def test_halves_first_where_the_sum_overflows(self):
+        s = np.array([[1.5e308, 1e308], [1.2e308, -1.0]])
+        half = 0.5 * 1e308 + 0.5 * 1.2e308
+        assert np.array_equal(mk.symmetric_part(s), [[1.5e308, half], [half, -1.0]])
+
+    def test_eig_sym_where_the_sum_overflows(self):
+        assert np.array_equal(mk.eig_sym([[1.5e308, 0.0], [0.0, 1.0]]), [1.0, 1.5e308])
+
 
 class TestEigSym:
     def test_diagonal(self):
@@ -202,48 +222,6 @@ class TestInvert:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             mk.invert(np.ones((2, 3)))
-
-
-class TestEig2x2:
-    def test_complex_pair_positive_real(self):
-        # tr = 1, det = 1: roots (1 +- i sqrt(3)) / 2
-        hi, lo = mk.eig_2x2([[2.0, 1.0], [-3.0, -1.0]])
-        assert hi.real == pytest.approx(0.5, abs=1e-12)
-        assert lo.real == pytest.approx(0.5, abs=1e-12)
-        assert hi.imag == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
-        assert lo.imag == pytest.approx(-math.sqrt(3) / 2, abs=1e-12)
-
-    def test_complex_pair_negative_real(self):
-        # tr = -1, det = 3: roots (-1 +- i sqrt(11)) / 2
-        hi, lo = mk.eig_2x2([[2.0, 1.0], [-9.0, -3.0]])
-        assert hi.real == pytest.approx(-0.5, abs=1e-12)
-        assert hi.imag == pytest.approx(math.sqrt(11) / 2, abs=1e-12)
-        assert lo == hi.conjugate()
-
-    def test_diagonal(self):
-        hi, lo = mk.eig_2x2(np.diag([-3.0, 7.0]))
-        assert (hi, lo) == (7.0 + 0j, -3.0 + 0j)
-
-    def test_real_parts_descending(self):
-        for _ in range(200):
-            m = RNG.normal(size=(2, 2)) * 4
-            hi, lo = mk.eig_2x2(m)
-            assert hi.real >= lo.real
-
-    def test_trace_and_determinant(self):
-        for _ in range(200):
-            m = RNG.normal(size=(2, 2)) * 4
-            hi, lo = mk.eig_2x2(m)
-            tr = m[0, 0] + m[1, 1]
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            scale = max(1.0, abs(tr), abs(det))
-            assert abs((hi + lo).real - tr) <= 1e-12 * scale
-            assert abs((hi + lo).imag) <= 1e-12 * scale
-            assert abs(hi * lo - det) <= 1e-12 * scale
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(DimensionError):
-            mk.eig_2x2(np.eye(3))
 
 
 class TestLapackContracts:

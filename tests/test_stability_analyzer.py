@@ -21,7 +21,7 @@ from stabkit import (
 from stabkit import coupled_sim, stability_analyzer
 from stabkit.errors import DimensionError, NonFiniteError, ParameterError, SingularMatrixError
 from stabkit.errors import StabkitError
-from stabkit.matrixkit import eig_2x2, eig_sym, symmetric_part
+from stabkit.matrixkit import eig_sym, symmetric_part
 from stabkit.stability_analyzer import EffectiveGain
 
 RNG = np.random.default_rng(555)
@@ -61,15 +61,13 @@ class TestAnalytic1d:
         verdict = analytic_1d(2.0, 1.0, 3.0, 1.0 / math.sqrt(3.0), 1.0, 1.0)
         assert verdict.label == "stable"
         # eigenvalue oracle: real parts -0.5 for the matching joint matrix
-        hi, _ = eig_2x2(augmented_matrix(2.0, 1.0, 3.0, 3.0))
-        assert hi.real < 0
+        assert np.linalg.eigvals(augmented_matrix(2.0, 1.0, 3.0, 3.0)).real.max() < 0
         assert verdict.margins["kprime"] == pytest.approx(1.0, abs=1e-9)
 
     def test_unstable_example(self):
         verdict = analytic_1d(2.0, 1.0, 3.0, 1.0, 1.0, 1.0)
         assert verdict.label == "unstable"
-        hi, _ = eig_2x2(augmented_matrix(2.0, 1.0, 3.0, 1.0))
-        assert hi.real > 0
+        assert np.linalg.eigvals(augmented_matrix(2.0, 1.0, 3.0, 1.0)).real.max() > 0
 
     def test_negative_response_stable_for_any_sigma(self):
         for sigma in (0.1, 1.0, 10.0):
@@ -109,8 +107,8 @@ class TestAnalytic1d:
                 continue
             checked += 1
             verdict = analytic_1d(a, b, k, sigma, g, alpha)
-            hi, _ = eig_2x2(augmented_matrix(a, b, k, kprime))
-            expected = "stable" if hi.real < 0 else "unstable"
+            rightmost = np.linalg.eigvals(augmented_matrix(a, b, k, kprime)).real.max()
+            expected = "stable" if rightmost < 0 else "unstable"
             assert verdict.label == expected, (a, b, k, sigma, g, alpha)
 
 
@@ -480,18 +478,19 @@ class TestNonFiniteEffectiveGain:
         assert str(caught.value) == str(expected.value)
         assert "sigma=1e-160" in str(caught.value)
 
-    def test_empirical_grid_reports_first_refused_policy(self):
-        # sigma = 1.2e154 passes the scalar test (K' ~ 7e-309 > 0), but its
-        # policy's symmetrized variance overflows; only --empirical builds it
+    def test_empirical_grid_accepts_a_variance_whose_double_overflows(self):
+        # sigma = 1.2e154 passes the scalar test (K' ~ 7e-309 > 0); its variance
+        # 1.44e308 doubles past the float range, yet its symmetric part is itself,
+        # so the policy accepts it and the empirical grid runs the cell
         axis1, axis2 = AxisSpec("sigma", 1.0, 1.2e154, 2), AxisSpec("K", 1.0, 2.0, 2)
-        assert len(sweep_region(self.BASE, axis1, axis2)) == 4
-        with np.errstate(over="ignore"):
-            with pytest.raises(StabkitError) as expected:
-                ExpertPolicy(K=[[1.0]], Sigma=[[1.2e154**2]])
-            with pytest.raises(StabkitError) as caught:
-                sweep_region(self.BASE, axis1, axis2, empirical=True)
-        assert type(caught.value) is type(expected.value)
-        assert str(caught.value) == str(expected.value)
+        policy = ExpertPolicy(K=[[1.0]], Sigma=[[1.2e154**2]])
+        assert policy.Sigma[0, 0] == 1.2e154**2
+        grid = sweep_region(self.BASE, axis1, axis2, empirical=True)
+        run = classify_empirical(simulate(
+            PlantModel(A=1.0, B=1.0), policy, DiffusionParams(g=1.0, alpha=1.0),
+            stability_analyzer.DEFAULT_SWEEP_SIM,
+        ))
+        assert (grid.empirical_label[2], grid.empirical_rate[2]) == (run.label, run.rate)
 
     @pytest.mark.parametrize(
         "axis1", [AxisSpec("sigma", 1.0, 1e155, 2), AxisSpec("kprime", 1e-310, 1.0, 2)]

@@ -38,8 +38,12 @@ SINGULAR = [[1.0, 0.0], [0.0, 0.0]]
 # positive definite by its pivots (2e-12 squared, above 1e-12), yet its
 # smallest singular value 7e-13 is within the singularity rule
 NEARLY_SINGULAR_PD = [[1.0, 1.0 - 7e-13], [1.0 - 7e-13, 1.0]]
-# symmetric and finite, but 1.5e308 + 1.5e308 overflows when symmetrized
+# symmetric and finite, and its symmetric part is itself although
+# 1.5e308 + 1.5e308 overflows; not positive definite, since its pivot 1 is
+# below PD_RTOL * 1.5e308
 HUGE = [[1.5e308, 0.0], [0.0, 1.0]]
+# a K with two rows for a plant with one input
+TALL = [[3.0], [1.0]]
 
 
 def exactly(message):
@@ -91,10 +95,12 @@ CASES = {
                         singular(ZERO, "1.000e-12")),
     "ndim-singular-Sigma": (lambda: ndim(s=NEARLY_SINGULAR_PD), SingularMatrixError,
                             singular(NUMBER, "1.000e-12")),
-    "ndim-huge-Sigma": (lambda: ndim(s=HUGE), NonFiniteError,
-                        exactly("is_positive_definite input contains non-finite entries")),
+    "ndim-wide-K": (lambda: ndim(k=WIDE), DimensionError,
+                    exactly("policy K is 2x3, plant expects 2x2")),
+    "ndim-huge-Sigma": (lambda: ndim(s=HUGE), ParameterError,
+                        exactly("Sigma must be positive definite")),
     "ndim-huge-A": (lambda: ndim(a=HUGE), NonFiniteError,
-                    exactly("eig_sym input contains non-finite entries")),
+                    exactly("matrix contains non-finite entries")),
     "ndim-tiny-g": (lambda: ndim(g=1e-200), ParameterError,
                     exactly("matrix effective gain must be positive definite")),
     "ndim-huge-g": (lambda: ndim(g=1e200), NonFiniteError,
@@ -112,7 +118,9 @@ CASES = {
     "verdict-tall-B": (lambda: verdict(b=[[1.0], [0.5]], k=[[1.0, 0.0]], s=[[0.5]]),
                        DimensionError, exactly("B must be square, got shape (2, 1)")),
     "verdict-wide-K": (lambda: verdict(k=WIDE), DimensionError,
-                       exactly("K must be 2x2, got (2, 3)")),
+                       exactly("policy K is 2x3, plant expects 2x2")),
+    "verdict-tall-K-scalar-plant": (lambda: verdict(a=[[2.0]], b=[[1.0]], k=TALL),
+                                    DimensionError, exactly("policy K is 2x1, plant expects 1x1")),
     "verdict-asymmetric": (lambda: verdict(s=ASYMMETRIC), AsymmetricMatrixError,
                            asymmetric("policy Sigma")),
     "verdict-not-pd": (lambda: verdict(s=NOT_PD), ParameterError,
@@ -121,10 +129,10 @@ CASES = {
                            singular(ZERO, "1.000e-12")),
     "verdict-singular-Sigma": (lambda: verdict(s=NEARLY_SINGULAR_PD), SingularMatrixError,
                                singular(NUMBER, "1.000e-12")),
-    "verdict-huge-Sigma": (lambda: verdict(s=HUGE), NonFiniteError,
-                           exactly("is_positive_definite input contains non-finite entries")),
+    "verdict-huge-Sigma": (lambda: verdict(s=HUGE), ParameterError,
+                           exactly("policy Sigma must be positive definite")),
     "verdict-huge-A": (lambda: verdict(a=HUGE), NonFiniteError,
-                       exactly("eig_sym input contains non-finite entries")),
+                       exactly("matrix contains non-finite entries")),
     "verdict-tiny-g": (lambda: verdict(g=1e-200), ParameterError,
                        exactly("matrix effective gain must be positive definite")),
     "verdict-huge-g": (lambda: verdict(g=1e200), NonFiniteError,
@@ -158,8 +166,8 @@ CASES = {
     "gain-covariance-singular": (
         lambda: EffectiveGain.from_covariance(1.0, 1.0, NEARLY_SINGULAR_PD),
         SingularMatrixError, singular(NUMBER, "1.000e-12")),
-    "gain-covariance-huge": (lambda: EffectiveGain.from_covariance(1.0, 1.0, HUGE), NonFiniteError,
-                             exactly("is_positive_definite input contains non-finite entries")),
+    "gain-covariance-huge": (lambda: EffectiveGain.from_covariance(1.0, 1.0, HUGE), ParameterError,
+                             exactly("Sigma must be positive definite")),
     # ExpertPolicy
     "policy-bool": (lambda: sk.ExpertPolicy(K=BOOL, Sigma=S), ParameterError,
                     exactly("policy K must hold numbers, got True")),
@@ -171,8 +179,11 @@ CASES = {
                           asymmetric("policy Sigma")),
     "policy-not-pd": (lambda: sk.ExpertPolicy(K=K, Sigma=NOT_PD), ParameterError,
                       exactly("policy Sigma must be positive definite")),
-    "policy-huge": (lambda: sk.ExpertPolicy(K=K, Sigma=HUGE), NonFiniteError,
-                    exactly("is_positive_definite input contains non-finite entries")),
+    "policy-huge": (lambda: sk.ExpertPolicy(K=K, Sigma=HUGE), ParameterError,
+                    exactly("policy Sigma must be positive definite")),
+    # augmented_matrix
+    "augmented-tall-K": (lambda: sk.augmented_matrix(2.0, 1.0, TALL, 1.0), DimensionError,
+                         exactly("policy K is 2x1, plant expects 1x1")),
     # matrixkit
     "eig-bool": (lambda: mk.eig_sym(BOOL), ParameterError,
                  exactly("eig_sym input must hold numbers, got True")),
@@ -219,7 +230,17 @@ def test_positive_definite_answers_without_refusing():
     assert not mk.is_positive_definite(SINGULAR)
     assert mk.is_positive_definite(NEARLY_SINGULAR_PD)
     with np.errstate(over="ignore"):
-        assert not mk.is_positive_definite(HUGE)  # its symmetric part overflows to inf
+        assert not mk.is_positive_definite(HUGE)  # by the pivot rule, not by overflow
+
+
+def test_huge_positive_definite_sigma_is_accepted():
+    # 1.5e308 + 1.5e308 overflows, yet the symmetric part is Sigma itself, and
+    # its pivots pass the rule; both entries judge it as the same arrays
+    huge_pd = [[1.5e308, 0.0], [0.0, 1e300]]
+    policy = sk.ExpertPolicy(K=K, Sigma=huge_pd)
+    assert np.array_equal(policy.Sigma, huge_pd)
+    got = sk.analytic_verdict(sk.PlantModel(A=A, B=B), policy, sk.DiffusionParams(g=1.0, alpha=1.0))
+    assert got == sk.analytic_ndim(A, B, K, huge_pd, 1.0, 1.0)
 
 
 def test_verdict_matches_ndim_on_the_same_arrays():
