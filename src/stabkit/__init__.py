@@ -33,7 +33,6 @@ from .diffusion_controller import (
 from .plant import ExpertPolicy, PlantModel, expert_action, plant_derivative
 from .stability_analyzer import (
     AxisSpec,
-    EffectiveGain,
     StabilityVerdict,
     SweepGrid,
     analytic_1d,
@@ -54,7 +53,6 @@ __all__ = [
     "CouplingMode",
     "DemonstrationSet",
     "DiffusionParams",
-    "EffectiveGain",
     "EmpiricalVerdict",
     "ExpertPolicy",
     "PlantModel",

@@ -32,7 +32,7 @@ from .coupled_sim import (
     simulate,
     trajectory_to_csv,
 )
-from .dataset_quality import load_demonstrations, quality_report
+from .dataset_quality import QualityReport, load_demonstrations, quality_report
 from .diffusion_controller import DiffusionParams
 from .errors import ConfigError, ParameterError, StabkitError
 from .plant import ExpertPolicy, PlantModel, _check_fit
@@ -199,12 +199,27 @@ def _empirical_dict(verdict: EmpiricalVerdict) -> dict:
     }
 
 
+def _margins(verdict: StabilityVerdict) -> dict:
+    return {key: _jnum(val) for key, val in verdict.margins.items()}
+
+
 def _analytic_dict(verdict: StabilityVerdict) -> dict:
     return {
         "label": verdict.label,
         "conditions": dict(verdict.conditions),
-        "margins": {key: _jnum(val) for key, val in verdict.margins.items()},
+        "margins": _margins(verdict),
         "notes": list(verdict.notes),
+    }
+
+
+def _quality_dict(report: QualityReport) -> dict:
+    threshold = report.sigma_threshold
+    return {
+        "k_hat": report.k_hat.tolist(),
+        "sigma_hat": report.sigma_hat.tolist(),
+        "label": report.verdict.label,
+        "margins": _margins(report.verdict),
+        "sigma_threshold": "none" if threshold is None else _jnum(threshold),
     }
 
 
@@ -379,7 +394,7 @@ def cmd_dataset_check(args) -> int:
         demos = load_demonstrations(handle)
     g, alpha = config.diffusion.g, config.diffusion.alpha
     report = quality_report(config.plant, demos, g, alpha)
-    print(json.dumps({**report.to_json_dict(), "g": g, "alpha": alpha}, sort_keys=True))
+    print(json.dumps({**_quality_dict(report), "g": g, "alpha": alpha}, sort_keys=True))
     return 0 if report.verdict.label == "stable" else 3
 
 

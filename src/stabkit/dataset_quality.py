@@ -19,6 +19,7 @@ from .diffusion_controller import DiffusionParams, RngStream
 from .errors import (
     DatasetFormatError,
     DimensionError,
+    NonFiniteError,
     ParameterError,
     RankDeficiencyError,
 )
@@ -74,17 +75,6 @@ class QualityReport:
     verdict: StabilityVerdict
     sigma_threshold: float | None
     margin: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k_hat": self.k_hat.tolist(),
-            "sigma_hat": self.sigma_hat.tolist(),
-            "label": self.verdict.label,
-            "margins": dict(self.verdict.margins),
-            "sigma_threshold": (
-                "none" if self.sigma_threshold is None else self.sigma_threshold
-            ),
-        }
 
 
 def _parse_header(fields: list[str]) -> tuple[int, int]:
@@ -224,11 +214,16 @@ def estimate_covariance(demos: DemonstrationSet, k_hat) -> np.ndarray:
         raise DimensionError(
             f"k_hat must be {demos.n_actions}x{demos.n_states}, got {k_hat.shape}"
         )
-    residuals = demos.actions + demos.states @ k_hat.T
-    centered = residuals - residuals.mean(axis=0)
-    cov = (centered.T @ centered) / (demos.n_records - 1)
-    cov = matrixkit.symmetric_part(cov) + DEFAULT_COV_FLOOR * np.eye(demos.n_actions)
-    return cov
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = demos.actions + demos.states @ k_hat.T
+        centered = residuals - residuals.mean(axis=0)
+        cov = (centered.T @ centered) / (demos.n_records - 1)
+    if not np.isfinite(cov).all():
+        raise NonFiniteError(
+            "the residual covariance of the demonstrations overflows: "
+            "the residuals u + K_hat e are too large to square"
+        )
+    return matrixkit._symmetric(cov) + DEFAULT_COV_FLOOR * np.eye(demos.n_actions)
 
 
 def quality_report(

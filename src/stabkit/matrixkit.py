@@ -1,12 +1,12 @@
 """Dense linear algebra for small matrices (intended for N <= ~16).
 
-LAPACK, through ``numpy.linalg``, computes symmetric eigenvalues, the
-Cholesky factor, singular values and inverses; this module keeps the
-contracts around them: the relative symmetry tolerance, the relative
-positive-definite pivot rule, and the singularity rule of :func:`invert`,
-which refuses a matrix whose smallest singular value is at most
-``PIVOT_RTOL`` times its largest entry magnitude. All operations are pure
-functions on immutable values.
+LAPACK, through ``numpy.linalg``, computes the Cholesky factor and
+singular values; this module keeps the contracts around them: the relative
+symmetry tolerance, the relative positive-definite pivot rule, and the
+singularity rule that a plant's B and a policy's Sigma must pass before
+their inverses are taken, which refuses a matrix whose smallest singular
+value is at most ``PIVOT_RTOL`` times its largest entry magnitude. All
+operations are pure functions on immutable values.
 
 The coercions :func:`as_real`, :func:`as_whole`, :func:`as_matrix` and
 :func:`as_vector` hold the type rules of every numeric field in the package.
@@ -14,7 +14,7 @@ The coercions :func:`as_real`, :func:`as_whole`, :func:`as_matrix` and
 Validation rule: public functions and dataclass constructors validate their
 inputs, with the error messages of their contract; ``_`` kernels trust
 theirs. Each value is checked once, where it enters. The kernels here take
-finite square float arrays and answer as the public function they name would.
+finite square float arrays.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Relative tolerance for the symmetry contract of eig_sym / is_positive_definite.
+# Relative tolerance for the symmetry contract of check_symmetric.
 SYMMETRY_RTOL = 1e-12
-# Singularity and pivot thresholds: relative to the largest entry (invert)
-# or largest diagonal magnitude (positive-definiteness).
+# Singularity and pivot thresholds: relative to the largest entry
+# (singularity) or largest diagonal magnitude (positive-definiteness).
 PIVOT_RTOL = 1e-12
 PD_RTOL = 1e-12
 
@@ -185,15 +185,6 @@ def check_symmetric(s, name: str = "matrix") -> np.ndarray:
     return _symmetric(s)
 
 
-def eig_sym(s) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending.
-
-    The input must be symmetric within the relative tolerance
-    ``SYMMETRY_RTOL``; smaller asymmetries are silently symmetrized.
-    """
-    return np.linalg.eigvalsh(check_symmetric(s, "eig_sym input"))
-
-
 def _cholesky_pivots(s: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of symmetric ``s``, or None if any pivot is at
     most ``PD_RTOL`` times the largest diagonal magnitude.
@@ -210,13 +201,6 @@ def _cholesky_pivots(s: np.ndarray) -> np.ndarray | None:
     return lower
 
 
-def is_positive_definite(s) -> bool:
-    """True iff a Cholesky factorization of the (symmetrized) input succeeds
-    with every pivot above ``PD_RTOL`` times the largest diagonal magnitude,
-    so exact zero matrices and semidefinite matrices are rejected."""
-    return _cholesky_pivots(check_symmetric(s, "is_positive_definite input")) is not None
-
-
 def _require_positive_definite(s: np.ndarray, name: str) -> np.ndarray:
     """Symmetric ``s``; ParameterError unless it passes the pivot rule."""
     if _cholesky_pivots(s) is None:
@@ -226,24 +210,17 @@ def _require_positive_definite(s: np.ndarray, name: str) -> np.ndarray:
 
 def cholesky(s) -> np.ndarray:
     """Lower Cholesky factor L with S = L L^T; raises when S is not positive
-    definite under the same pivot rule as :func:`is_positive_definite`."""
+    definite: when a pivot is at most ``PD_RTOL`` times the largest diagonal
+    magnitude, so exact zero and semidefinite matrices are refused."""
     lower = _cholesky_pivots(check_symmetric(s, "cholesky input"))
     if lower is None:
         raise NotPositiveDefiniteError("matrix is not positive definite")
     return lower
 
 
-def invert(m) -> np.ndarray:
-    """Matrix inverse (LAPACK ``gesv``).
-
-    Raises SingularMatrixError when the smallest singular value is at most
-    ``PIVOT_RTOL`` times the largest entry magnitude of the input.
-    """
-    return np.linalg.inv(_nonsingular(require_square(m, "invert input")))
-
-
 def _nonsingular(m: np.ndarray) -> np.ndarray:
-    """``m``; SingularMatrixError under the rule of :func:`invert`."""
+    """Square ``m``; SingularMatrixError when its smallest singular value is
+    at most ``PIVOT_RTOL`` times its largest entry magnitude."""
     smallest = float(np.linalg.svd(m, compute_uv=False)[-1])
     threshold = PIVOT_RTOL * float(np.abs(m).max())
     if smallest <= threshold:

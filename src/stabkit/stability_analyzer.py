@@ -58,63 +58,22 @@ class StabilityVerdict:
         return min(self.margins.values())
 
 
-@dataclass(frozen=True)
-class EffectiveGain:
-    """Proportional gain equivalent of the denoising controller: the scalar
-    g^2 alpha / sigma^2, or the matrix g^2 alpha Sigma^{-1}."""
-
-    kprime: float | np.ndarray
-
-    def __post_init__(self):
-        if isinstance(self.kprime, np.ndarray):
-            if not matrixkit.is_positive_definite(self.kprime):
-                raise ParameterError("matrix effective gain must be positive definite")
-        elif not (self.kprime > 0.0):
-            raise ParameterError(f"effective gain must be > 0, got {self.kprime}")
-
-    @classmethod
-    def from_scalar(cls, g: float, alpha: float, sigma: float) -> "EffectiveGain":
-        """g^2 alpha / sigma^2; refused unless it is finite and > 0."""
-        g, alpha, sigma = float(g), float(alpha), float(sigma)
-        matrixkit._check_positive(sigma=sigma, g=g, alpha=alpha)
-        sigma_sq = sigma * sigma
-        kprime = g * g * alpha / sigma_sq if sigma_sq > 0.0 else math.inf
-        if kprime == math.inf:
-            raise ParameterError(
-                f"effective gain g^2 alpha / sigma^2 overflows at sigma={sigma}, "
-                f"g={g}, alpha={alpha}"
-            )
-        return cls(kprime)
-
-    @classmethod
-    def from_covariance(cls, g: float, alpha: float, Sigma) -> "EffectiveGain":
-        g, alpha = float(g), float(alpha)
-        matrixkit._check_positive(g=g, alpha=alpha)
-        return cls(_precision(g, alpha, _covariance_inverse(Sigma)))
-
-
-def _covariance_inverse(Sigma) -> np.ndarray:
-    sigma = matrixkit._require_positive_definite(matrixkit.check_symmetric(Sigma, "Sigma"), "Sigma")
-    return np.linalg.inv(matrixkit._nonsingular(sigma))
-
-
 def _precision(g: float, alpha: float, sigma_inv: np.ndarray) -> np.ndarray:
     """The effective precision g^2 alpha Sigma^{-1} from a checked
-    Sigma^{-1}; refused unless it is positive definite."""
-    precision = matrixkit.symmetric_part(g * g * alpha * sigma_inv)
+    Sigma^{-1}; refused unless it is finite and positive definite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        precision = matrixkit._symmetric(g * g * alpha * sigma_inv)
+    if not np.isfinite(precision).all():
+        raise NonFiniteError(
+            f"matrix effective gain g^2 alpha Sigma^-1 overflows at g={g}, alpha={alpha}"
+        )
     return matrixkit._require_positive_definite(precision, "matrix effective gain")
 
 
-def _square_system(A, B, K):
-    """(A, B, K) as matrices of an N-D system with square invertible B."""
-    a = matrixkit.require_square(A, "A")
-    b = matrixkit.require_square(B, "B")
-    k = matrixkit.as_matrix(K, "K")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError("A and B must have matching row counts")
-    _check_fit(b, k)
-    matrixkit._nonsingular(b)
-    return a, b, k
+def _nonsingular_b(plant: PlantModel) -> np.ndarray:
+    """The plant's B; refused unless it is square and nonsingular, as the
+    N-D conditions and the second-order elevation need."""
+    return matrixkit._nonsingular(matrixkit._check_square(plant.B, "B"))
 
 
 def _resolve_labels(decisive, failure_label: str) -> np.ndarray:
@@ -132,13 +91,10 @@ def augmented_matrix(A, B, K, lam) -> np.ndarray:
     """Joint-state dynamics matrix [[A, B], [-L K, -L]] of the coupled
     system, where L is ``lam`` times the identity (scalar) or the effective
     gain matrix itself."""
-    a = matrixkit.require_square(A, "A")
-    b = matrixkit.as_matrix(B, "B")
+    plant = PlantModel(A=A, B=B)
     k = matrixkit.as_matrix(K, "K")
-    n, m = b.shape
-    if n != a.shape[0]:
-        raise DimensionError(f"B must have {a.shape[0]} rows, got {n}")
-    _check_fit(b, k)
+    _check_fit(plant.B, k)
+    m = plant.n_inputs
     lam_arr = np.asarray(lam, dtype=float)
     if lam_arr.ndim == 0:
         lam_mat = float(lam_arr) * np.eye(m)
@@ -146,7 +102,7 @@ def augmented_matrix(A, B, K, lam) -> np.ndarray:
         lam_mat = matrixkit.require_square(lam_arr, "lam")
         if lam_mat.shape[0] != m:
             raise DimensionError(f"lam must be {m}x{m}, got {lam_mat.shape}")
-    return np.block([[a, b], [-(lam_mat @ k), -lam_mat]])
+    return np.block([[plant.A, plant.B], [-(lam_mat @ k), -lam_mat]])
 
 
 def analytic_1d(
@@ -166,7 +122,15 @@ def analytic_1d(
     for name, value in (("A", a), ("B", b), ("K", k)):
         if not math.isfinite(value):
             raise NonFiniteError(f"{name} must be finite, got {value}")
-    kprime = EffectiveGain.from_scalar(g, alpha, sigma).kprime
+    sigma_sq = sigma * sigma
+    kprime = g * g * alpha / sigma_sq if sigma_sq > 0.0 else math.inf
+    if kprime == math.inf:
+        raise ParameterError(
+            f"effective gain g^2 alpha / sigma^2 overflows at sigma={sigma}, "
+            f"g={g}, alpha={alpha}"
+        )
+    if not (kprime > 0.0):
+        raise ParameterError(f"effective gain must be > 0, got {kprime}")
     columns = [np.array([value]) for value in (a, b, k, sigma, g, alpha, kprime)]
     return _scalar_verdicts(*columns).verdict(0)
 
@@ -216,8 +180,9 @@ def _scalar_verdicts(a, b, k, sigma, g, alpha, kprime):
     """
     live = a > 0.0
     bk = b * k
-    margin_cl = bk - a
-    margin_kp = kprime - a
+    with np.errstate(over="ignore"):  # a margin past the float range is inf, and decides
+        margin_cl = bk - a
+        margin_kp = kprime - a
     scale_cl = np.maximum(np.maximum(1.0, np.abs(a)), np.abs(bk))
     scale_kp = np.maximum(np.maximum(1.0, np.abs(a)), kprime)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -244,13 +209,14 @@ def second_order_coefficients(A, B, K, Sigma) -> tuple[np.ndarray, np.ndarray]:
     e'' + C1 e' + C0 e = 0 of the coupled system:
     C1 = Sigma^{-1} - A and C0 = -Sigma^{-1} (A - B K).
 
-    Requires square invertible B (the elevation substitutes
-    u = B^{-1}(e' - A e)) and symmetric positive definite Sigma.
+    ``PlantModel`` and ``ExpertPolicy`` check the arrays, and B must be
+    square and nonsingular (the elevation substitutes u = B^{-1}(e' - A e)).
     """
-    a, b, k = _square_system(A, B, K)
-    sigma_inv = _covariance_inverse(Sigma)
-    c1 = sigma_inv - a
-    c0 = -(sigma_inv @ (a - b @ k))
+    plant, policy = PlantModel(A=A, B=B), ExpertPolicy(K=K, Sigma=Sigma)
+    _check_fit(plant.B, policy.K)
+    b = _nonsingular_b(plant)
+    c1 = policy.sigma_inv - plant.A
+    c0 = -(policy.sigma_inv @ (plant.A - b @ policy.K))
     return c1, c0
 
 
@@ -262,19 +228,27 @@ def analytic_ndim(A, B, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
     (ii) sym(P (A - B K)) negative definite.
     Both passing yields "stable"; any failure yields "inconclusive" (the
     conditions are sufficient only). Margins are the eigenvalue slacks.
+    ``PlantModel``, ``ExpertPolicy`` and ``DiffusionParams`` check the
+    arguments, and refuse them with their own messages.
     """
-    a, b, k = _square_system(A, B, K)
-    return _ndim_verdict(a, b, k, EffectiveGain.from_covariance(g, alpha, Sigma).kprime)
+    plant, policy = PlantModel(A=A, B=B), ExpertPolicy(K=K, Sigma=Sigma)
+    _check_fit(plant.B, policy.K)
+    return _ndim_verdict(plant, policy, DiffusionParams(g=g, alpha=alpha))
 
 
-def _ndim_verdict(a, b, k, precision) -> StabilityVerdict:
-    """:func:`analytic_ndim` of a checked system and its effective precision."""
+def _ndim_verdict(plant, policy, diffusion) -> StabilityVerdict:
+    """:func:`analytic_ndim` of checked inputs whose policy fits the plant."""
+    a, b, k = plant.A, _nonsingular_b(plant), policy.K
+    precision = _precision(diffusion.g, diffusion.alpha, policy.sigma_inv)
     lam_max_s1 = float(np.linalg.eigvalsh(matrixkit._symmetric(a))[-1])
     lam_min_p = float(np.linalg.eigvalsh(precision)[0])
     margin_gain = lam_min_p - lam_max_s1
 
-    closed_loop_sym = matrixkit.symmetric_part(precision @ (a - b @ k))
-    lam_max_cl = float(np.linalg.eigvalsh(closed_loop_sym)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed_loop = precision @ (a - b @ k)
+    if not np.isfinite(closed_loop).all():
+        raise NonFiniteError("closed-loop product g^2 alpha Sigma^-1 (A - B K) overflows")
+    lam_max_cl = float(np.linalg.eigvalsh(matrixkit._symmetric(closed_loop))[-1])
     margin_cl = -lam_max_cl
 
     margins = {"gain_vs_plant": margin_gain, "closed_loop": margin_cl}
@@ -306,13 +280,13 @@ def analytic_verdict(
     :func:`analytic_ndim`. Their constructors checked every array, so only
     how the three fit together is checked here: the policy fits the plant,
     and an N-D plant's B is square and nonsingular."""
-    g, alpha = diffusion.g, diffusion.alpha
     _check_fit(plant.B, policy.K)
     if plant.n_states == 1 and plant.n_inputs == 1:
         sigma = float(np.sqrt(policy.Sigma[0, 0]))
-        return analytic_1d(plant.A[0, 0], plant.B[0, 0], policy.K[0, 0], sigma, g, alpha)
-    b = matrixkit._nonsingular(matrixkit._check_square(plant.B, "B"))
-    return _ndim_verdict(plant.A, b, policy.K, _precision(g, alpha, policy.sigma_inv))
+        return analytic_1d(
+            plant.A[0, 0], plant.B[0, 0], policy.K[0, 0], sigma, diffusion.g, diffusion.alpha
+        )
+    return _ndim_verdict(plant, policy, diffusion)
 
 
 def classify_table_row(

@@ -852,3 +852,88 @@ class TestNonFiniteStepMaps:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --kprime ") and "finite and > 0" in err
+
+
+class TestOverflowRefusals:
+    """A quantity past the float range is refused with a message that names
+    it, or, where an infinite margin is the answer, reported as "inf"; numpy
+    prints no warning on stderr either way."""
+
+    ND_DOC = {
+        "plant": {"A": [[0.5, 0.1], [0.0, -0.3]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+        "policy": {"K": [[2.0, 0.0], [0.0, 1.0]], "Sigma": [[0.5, 0.1], [0.1, 0.4]]},
+        "diffusion": {"g": 1.0, "alpha": 1.0},
+    }
+    # K' = g^2 alpha / sigma^2 ~ 1.66e308 is finite, K' - A is not
+    HUGE_GAP_DOC = {
+        "plant": {"A": -1.7e308, "B": 1.0},
+        "policy": {"K": 3.0, "sigma": 0.101},
+        "diffusion": {"g": 1.3e153, "alpha": 1.0},
+    }
+
+    @staticmethod
+    def refused(tmp_path, capsys, argv, doc):
+        cfg = write_config(tmp_path, doc)
+        code = cli.main([argv[0], "-c", cfg, *argv[1:]])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_closed_loop_product(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(self.ND_DOC))
+        doc["plant"]["B"] = [[1e300, 0.0], [0.0, 1e300]]
+        doc["policy"]["K"] = [[1e10, 0.0], [0.0, 1.0]]
+        assert self.refused(tmp_path, capsys, ["analyze"], doc) == (
+            2, "error: closed-loop product g^2 alpha Sigma^-1 (A - B K) overflows\n")
+
+    def test_effective_precision(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(self.ND_DOC))
+        doc["diffusion"]["g"] = 1e200
+        assert self.refused(tmp_path, capsys, ["analyze"], doc) == (
+            2, "error: matrix effective gain g^2 alpha Sigma^-1 overflows at g=1e+200, "
+               "alpha=1.0\n")
+
+    def test_residual_covariance(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        e = 1e160 * rng.standard_normal(50)
+        u = -3.0 * e + 1e159 * rng.standard_normal(50)
+        log = tmp_path / "demos.csv"
+        rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(e.tolist(), u.tolist()))
+        log.write_text("e_1,u_1\n" + rows)
+        doc = {"plant": {"A": 0.5, "B": 1.0}}
+        assert self.refused(tmp_path, capsys, ["dataset-check", "-d", str(log)], doc) == (
+            2, "error: the residual covariance of the demonstrations overflows: "
+               "the residuals u + K_hat e are too large to square\n")
+
+    def test_scalar_gain_margin_is_inf(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.HUGE_GAP_DOC)
+        assert cli.main(["analyze", "-c", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        verdict = json.loads(captured.out)
+        assert (verdict["label"], verdict["margins"]["kprime"]) == ("stable", "inf")
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "-c", cfg, "--axis1", "K:1:2:2", "--axis2", "B:1:2:2", "-o", str(out)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert [row.split(",")[2] for row in out.read_text().splitlines()[2:]] == ["stable"] * 4
+
+    def test_dataset_check_prints_json(self, tmp_path, capsys):
+        # the fitted sigma_hat ~ 0.101 gives the same infinite gain margin
+        demos = generate_demonstrations([[3.0]], [[0.01]], 50, RngStream(0))
+        log = tmp_path / "demos.csv"
+        log.write_text("e_1,u_1\n" + "".join(
+            f"{e!r},{u!r}\n" for e, u in zip(demos.states[:, 0].tolist(),
+                                             demos.actions[:, 0].tolist())))
+        doc = {key: self.HUGE_GAP_DOC[key] for key in ("plant", "diffusion")}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["dataset-check", "-d", str(log), "-c", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(captured.out, parse_constant=refuse)
+        assert report["margins"]["kprime"] == "inf"
+        assert report["sigma_threshold"] == "none"

@@ -175,7 +175,6 @@ class TestQualityReport:
         report = quality_report(plant, self.make_demos(2.0), 1.0, 1.0)
         assert report.verdict.label == "stable"
         assert report.sigma_threshold is None
-        assert report.to_json_dict()["sigma_threshold"] == "none"
 
     def test_matrix_path(self):
         rng = RngStream(13)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from stabkit import ExpertPolicy, analytic_ndim
 from stabkit import matrixkit as mk
 from stabkit.errors import (
     AsymmetricMatrixError,
@@ -114,67 +115,56 @@ class TestSymmetricPart:
         half = 0.5 * 1e308 + 0.5 * 1.2e308
         assert np.array_equal(mk.symmetric_part(s), [[1.5e308, half], [half, -1.0]])
 
-    def test_eig_sym_where_the_sum_overflows(self):
-        assert np.array_equal(mk.eig_sym([[1.5e308, 0.0], [0.0, 1.0]]), [1.0, 1.5e308])
+    def test_check_symmetric_where_the_sum_overflows(self):
+        s = np.array([[1.5e308, 0.0], [0.0, 1.0]])
+        assert mk.check_symmetric(s).tobytes() == s.tobytes()
 
 
-class TestEigSym:
-    def test_diagonal(self):
-        assert np.allclose(mk.eig_sym(np.diag([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
-
-    def test_offdiagonal_pair(self):
-        # characteristic polynomial lambda^2 - 1 = 0
-        assert np.allclose(mk.eig_sym([[0.0, 1.0], [1.0, 0.0]]), [-1.0, 1.0])
-
-    def test_two_by_two(self):
-        # (2 - lambda)^2 - 1 = 0  ->  {1, 3}
-        assert np.allclose(mk.eig_sym([[2.0, 1.0], [1.0, 2.0]]), [1.0, 3.0])
-
-    def test_ascending_and_counts(self):
-        for _ in range(30):
-            n = int(RNG.integers(1, 13))
-            s = mk.symmetric_part(RNG.normal(size=(n, n)))
-            w = mk.eig_sym(s)
-            assert w.shape == (n,)
-            assert np.all(np.diff(w) >= -1e-12)
-
-    def test_matches_numpy_oracle(self):
-        for _ in range(30):
-            n = int(RNG.integers(2, 13))
-            s = mk.symmetric_part(RNG.normal(size=(n, n)) * 5)
-            expected = np.linalg.eigvalsh(s)
-            assert np.allclose(mk.eig_sym(s), expected, atol=1e-10 * max(1, abs(expected).max()))
-
+class TestSymmetryTolerance:
     def test_silently_symmetrizes_tiny_asymmetry(self):
         s = np.array([[1.0, 1.0 + 1e-14], [1.0, 1.0]])
-        w = mk.eig_sym(s)
-        assert np.allclose(w, [0.0, 2.0], atol=1e-9)
+        out = mk.check_symmetric(s)
+        assert np.array_equal(out, out.T)
+        assert np.allclose(out, s, rtol=0.0, atol=1e-14)
 
     def test_rejects_large_asymmetry(self):
         with pytest.raises(AsymmetricMatrixError):
-            mk.eig_sym([[1.0, 2.0], [0.0, 1.0]])
+            mk.check_symmetric([[1.0, 2.0], [0.0, 1.0]])
+
+    def test_policy_symmetrizes_sigma(self):
+        policy = ExpertPolicy(K=np.eye(2), Sigma=[[1.0, 1e-14], [0.0, 1.0]])
+        assert np.array_equal(policy.Sigma, [[1.0, 5e-15], [5e-15, 1.0]])
+
+
+def _policy_accepts(sigma) -> bool:
+    """Whether ``ExpertPolicy`` takes ``sigma`` as positive definite."""
+    try:
+        ExpertPolicy(K=np.eye(len(sigma)), Sigma=sigma)
+    except ParameterError:
+        return False
+    return True
 
 
 class TestIsPositiveDefinite:
     def test_identity(self):
-        assert mk.is_positive_definite(np.eye(4))
+        assert _policy_accepts(np.eye(4))
 
     def test_indefinite(self):
         # eigenvalues -1 and 3 by the closed form
-        assert not mk.is_positive_definite([[1.0, 2.0], [2.0, 1.0]])
+        assert not _policy_accepts([[1.0, 2.0], [2.0, 1.0]])
 
     def test_zero_matrix_rejected(self):
-        assert not mk.is_positive_definite(np.zeros((3, 3)))
+        assert not _policy_accepts(np.zeros((3, 3)))
 
     def test_agrees_with_min_eigenvalue(self):
         for _ in range(100):
             n = int(RNG.integers(1, 9))
             s = mk.symmetric_part(RNG.normal(size=(n, n)))
-            lam_min = mk.eig_sym(s)[0]
+            lam_min = np.linalg.eigvalsh(s)[0]
             deadband = 1e-10 * max(1.0, float(np.abs(np.diag(s)).max()))
             if abs(lam_min) <= deadband:
                 continue
-            assert mk.is_positive_definite(s) == (lam_min > 0)
+            assert _policy_accepts(s) == (lam_min > 0)
 
     def test_cholesky_round_trip(self):
         for _ in range(20):
@@ -189,58 +179,29 @@ class TestIsPositiveDefinite:
             mk.cholesky([[1.0, 2.0], [2.0, 1.0]])
 
 
-class TestInvert:
-    def test_identity(self):
-        assert np.allclose(mk.invert(np.eye(3)), np.eye(3))
+class TestSingularityRule:
+    def test_sigma_inverse(self):
+        policy = ExpertPolicy(K=np.eye(2), Sigma=np.diag([2.0, 4.0]))
+        assert np.allclose(policy.sigma_inv, np.diag([0.5, 0.25]))
 
-    def test_diagonal_reciprocals(self):
-        assert np.allclose(mk.invert(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
-
-    def test_hand_checkable(self):
-        assert np.allclose(mk.invert([[1.0, 1.0], [0.0, 1.0]]), [[1.0, -1.0], [0.0, 1.0]])
-
-    def test_residual_bound(self):
+    def test_sigma_inverse_residual_bound(self):
         for _ in range(40):
             n = int(RNG.integers(1, 13))
-            m = RNG.normal(size=(n, n)) + n * np.eye(n)
-            inv = mk.invert(m)
-            assert np.max(np.abs(m @ inv - np.eye(n))) <= 1e-9
+            a = RNG.normal(size=(n, n))
+            s = a @ a.T + n * np.eye(n)
+            inv = ExpertPolicy(K=np.eye(n), Sigma=s).sigma_inv
+            assert np.max(np.abs(s @ inv - np.eye(n))) <= 1e-9
 
-    def test_round_trip(self):
-        for _ in range(40):
-            n = int(RNG.integers(1, 13))
-            m = RNG.normal(size=(n, n)) + n * np.eye(n)
-            back = mk.invert(mk.invert(m))
-            assert np.max(np.abs(back - m)) <= 1e-8 * np.max(np.abs(m))
-
-    def test_singular_raises(self):
+    def test_rank_deficient_b_raises(self):
         with pytest.raises(SingularMatrixError):
-            mk.invert(np.zeros((2, 2)))
-        with pytest.raises(SingularMatrixError):
-            mk.invert([[1.0, 2.0], [2.0, 4.0]])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            mk.invert(np.ones((2, 3)))
+            analytic_ndim(np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.eye(2), np.eye(2), 1.0, 1.0)
 
 
 class TestLapackContracts:
     def test_pd_pivot_rule_is_relative(self):
-        assert not mk.is_positive_definite(np.diag([1.0, 1e-13]))
-        assert mk.is_positive_definite(np.diag([1.0, 1e-11]))
+        assert not _policy_accepts(np.diag([1.0, 1e-13]))
+        assert _policy_accepts(np.diag([1.0, 1e-11]))
 
     def test_cholesky_refuses_pivot_below_rule(self):
         with pytest.raises(NotPositiveDefiniteError):
             mk.cholesky(np.diag([1.0, 1e-13]))
-
-    def test_eig_sym_matches_oracle_at_n16(self):
-        rng = np.random.default_rng(16)
-        for _ in range(10):
-            s = mk.symmetric_part(rng.normal(size=(16, 16)) * 5)
-            expected = np.linalg.eigvalsh(s)
-            assert np.allclose(mk.eig_sym(s), expected, atol=1e-10 * abs(expected).max())
-
-    def test_eig_sym_identity_is_exact(self):
-        w = mk.eig_sym(np.eye(16))
-        assert np.all(np.diff(w) >= 0.0)
-        assert np.array_equal(w, np.ones(16))

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import stabkit as sk
-from stabkit import matrixkit as mk
 from stabkit.errors import (
     AsymmetricMatrixError,
     DimensionError,
@@ -22,7 +21,6 @@ from stabkit.errors import (
     ParameterError,
     SingularMatrixError,
 )
-from stabkit.stability_analyzer import EffectiveGain
 
 A = [[0.5, 0.1], [0.0, -0.3]]
 B = [[1.0, 0.0], [0.0, 1.0]]
@@ -48,6 +46,11 @@ TALL = [[3.0], [1.0]]
 
 def exactly(message):
     return re.escape(message)
+
+
+GAIN_OVERFLOWS = exactly("matrix effective gain g^2 alpha Sigma^-1 overflows at g=1e+200, "
+                         "alpha=1.0")
+CLOSED_LOOP_OVERFLOWS = exactly("closed-loop product g^2 alpha Sigma^-1 (A - B K) overflows")
 
 
 def singular(smallest, allowed):
@@ -80,17 +83,22 @@ def second_order(a=A, b=B, k=K, s=S):
 
 
 CASES = {
-    # analytic_ndim
+    # analytic_ndim, which checks its arrays as PlantModel, ExpertPolicy and
+    # DiffusionParams do
     "ndim-bool": (lambda: ndim(s=BOOL), ParameterError,
-                  exactly("Sigma must hold numbers, got True")),
-    "ndim-nan": (lambda: ndim(a=NAN), NonFiniteError, exactly("A contains non-finite entries")),
+                  exactly("policy Sigma must hold numbers, got True")),
+    "ndim-nan": (lambda: ndim(a=NAN), NonFiniteError,
+                 exactly("plant A contains non-finite entries")),
     "ndim-wide-A": (lambda: ndim(a=WIDE), DimensionError,
-                    exactly("A must be square, got shape (2, 3)")),
+                    exactly("plant A must be square, got shape (2, 3)")),
     "ndim-wide-B": (lambda: ndim(b=WIDE), DimensionError,
-                    exactly("B must be square, got shape (2, 3)")),
-    "ndim-asymmetric": (lambda: ndim(s=ASYMMETRIC), AsymmetricMatrixError, asymmetric("Sigma")),
+                    exactly("policy K is 2x2, plant expects 3x2")),
+    "ndim-tall-B": (lambda: ndim(b=[[1.0], [0.5]], k=[[1.0, 0.0]], s=[[0.5]]),
+                    DimensionError, exactly("B must be square, got shape (2, 1)")),
+    "ndim-asymmetric": (lambda: ndim(s=ASYMMETRIC), AsymmetricMatrixError,
+                        asymmetric("policy Sigma")),
     "ndim-not-pd": (lambda: ndim(s=NOT_PD), ParameterError,
-                    exactly("Sigma must be positive definite")),
+                    exactly("policy Sigma must be positive definite")),
     "ndim-singular-B": (lambda: ndim(b=SINGULAR), SingularMatrixError,
                         singular(ZERO, "1.000e-12")),
     "ndim-singular-Sigma": (lambda: ndim(s=NEARLY_SINGULAR_PD), SingularMatrixError,
@@ -98,16 +106,16 @@ CASES = {
     "ndim-wide-K": (lambda: ndim(k=WIDE), DimensionError,
                     exactly("policy K is 2x3, plant expects 2x2")),
     "ndim-huge-Sigma": (lambda: ndim(s=HUGE), ParameterError,
-                        exactly("Sigma must be positive definite")),
-    "ndim-huge-A": (lambda: ndim(a=HUGE), NonFiniteError,
-                    exactly("matrix contains non-finite entries")),
+                        exactly("policy Sigma must be positive definite")),
+    "ndim-huge-A": (lambda: ndim(a=HUGE), NonFiniteError, CLOSED_LOOP_OVERFLOWS),
+    "ndim-zero-g": (lambda: ndim(g=0.0), ParameterError,
+                    exactly("diffusion coefficient g must be > 0, got 0.0")),
     "ndim-tiny-g": (lambda: ndim(g=1e-200), ParameterError,
                     exactly("matrix effective gain must be positive definite")),
-    "ndim-huge-g": (lambda: ndim(g=1e200), NonFiniteError,
-                    exactly("matrix contains non-finite entries")),
+    "ndim-huge-g": (lambda: ndim(g=1e200), NonFiniteError, GAIN_OVERFLOWS),
     "ndim-huge-closed-loop": (lambda: ndim(b=[[1e300, 0.0], [0.0, 1e300]],
                                            k=[[1e10, 0.0], [0.0, 1.0]]),
-                              NonFiniteError, exactly("matrix contains non-finite entries")),
+                              NonFiniteError, CLOSED_LOOP_OVERFLOWS),
     # analytic_verdict, with its plant, policy and diffusion from their constructors
     "verdict-bool": (lambda: verdict(s=BOOL), ParameterError,
                      exactly("policy Sigma must hold numbers, got True")),
@@ -131,43 +139,26 @@ CASES = {
                                singular(NUMBER, "1.000e-12")),
     "verdict-huge-Sigma": (lambda: verdict(s=HUGE), ParameterError,
                            exactly("policy Sigma must be positive definite")),
-    "verdict-huge-A": (lambda: verdict(a=HUGE), NonFiniteError,
-                       exactly("matrix contains non-finite entries")),
+    "verdict-huge-A": (lambda: verdict(a=HUGE), NonFiniteError, CLOSED_LOOP_OVERFLOWS),
     "verdict-tiny-g": (lambda: verdict(g=1e-200), ParameterError,
                        exactly("matrix effective gain must be positive definite")),
-    "verdict-huge-g": (lambda: verdict(g=1e200), NonFiniteError,
-                       exactly("matrix contains non-finite entries")),
-    # second_order_coefficients
+    "verdict-huge-g": (lambda: verdict(g=1e200), NonFiniteError, GAIN_OVERFLOWS),
+    # second_order_coefficients, which checks its arrays as PlantModel and
+    # ExpertPolicy do
     "second-order-bool": (lambda: second_order(b=BOOL), ParameterError,
-                          exactly("B must hold numbers, got True")),
+                          exactly("plant B must hold numbers, got True")),
     "second-order-nan": (lambda: second_order(s=NAN), NonFiniteError,
-                         exactly("Sigma contains non-finite entries")),
+                         exactly("policy Sigma contains non-finite entries")),
     "second-order-wide": (lambda: second_order(s=WIDE), DimensionError,
-                          exactly("Sigma must be square, got shape (2, 3)")),
+                          exactly("policy Sigma must be square, got shape (2, 3)")),
     "second-order-asymmetric": (lambda: second_order(s=ASYMMETRIC), AsymmetricMatrixError,
-                                asymmetric("Sigma")),
+                                asymmetric("policy Sigma")),
     "second-order-not-pd": (lambda: second_order(s=NOT_PD), ParameterError,
-                            exactly("Sigma must be positive definite")),
+                            exactly("policy Sigma must be positive definite")),
     "second-order-singular-B": (lambda: second_order(b=SINGULAR), SingularMatrixError,
                                 singular(ZERO, "1.000e-12")),
-    # EffectiveGain and its covariance constructor
-    "gain-bool": (lambda: EffectiveGain.from_covariance(1.0, 1.0, BOOL), ParameterError,
-                  exactly("Sigma must hold numbers, got True")),
-    "gain-nan": (lambda: EffectiveGain(np.array(NAN)), NonFiniteError,
-                 exactly("is_positive_definite input contains non-finite entries")),
-    "gain-wide": (lambda: EffectiveGain(np.array(WIDE)), DimensionError,
-                  exactly("is_positive_definite input must be square, got shape (2, 3)")),
-    "gain-asymmetric": (lambda: EffectiveGain(np.array(ASYMMETRIC)), AsymmetricMatrixError,
-                        asymmetric("is_positive_definite input")),
-    "gain-not-pd": (lambda: EffectiveGain(np.array(NOT_PD)), ParameterError,
-                    exactly("matrix effective gain must be positive definite")),
-    "gain-covariance-not-pd": (lambda: EffectiveGain.from_covariance(1.0, 1.0, NOT_PD),
-                               ParameterError, exactly("Sigma must be positive definite")),
-    "gain-covariance-singular": (
-        lambda: EffectiveGain.from_covariance(1.0, 1.0, NEARLY_SINGULAR_PD),
-        SingularMatrixError, singular(NUMBER, "1.000e-12")),
-    "gain-covariance-huge": (lambda: EffectiveGain.from_covariance(1.0, 1.0, HUGE), ParameterError,
-                             exactly("Sigma must be positive definite")),
+    "second-order-singular-Sigma": (lambda: second_order(s=NEARLY_SINGULAR_PD),
+                                    SingularMatrixError, singular(NUMBER, "1.000e-12")),
     # ExpertPolicy
     "policy-bool": (lambda: sk.ExpertPolicy(K=BOOL, Sigma=S), ParameterError,
                     exactly("policy K must hold numbers, got True")),
@@ -181,56 +172,24 @@ CASES = {
                       exactly("policy Sigma must be positive definite")),
     "policy-huge": (lambda: sk.ExpertPolicy(K=K, Sigma=HUGE), ParameterError,
                     exactly("policy Sigma must be positive definite")),
+    "policy-singular": (lambda: sk.ExpertPolicy(K=K, Sigma=SINGULAR), ParameterError,
+                        exactly("policy Sigma must be positive definite")),
+    "policy-inverse-nearly-singular": (
+        lambda: sk.ExpertPolicy(K=K, Sigma=NEARLY_SINGULAR_PD).sigma_inv,
+        SingularMatrixError, singular(NUMBER, "1.000e-12")),
     # augmented_matrix
     "augmented-tall-K": (lambda: sk.augmented_matrix(2.0, 1.0, TALL, 1.0), DimensionError,
                          exactly("policy K is 2x1, plant expects 1x1")),
-    # matrixkit
-    "eig-bool": (lambda: mk.eig_sym(BOOL), ParameterError,
-                 exactly("eig_sym input must hold numbers, got True")),
-    "eig-nan": (lambda: mk.eig_sym(NAN), NonFiniteError,
-                exactly("eig_sym input contains non-finite entries")),
-    "eig-wide": (lambda: mk.eig_sym(WIDE), DimensionError,
-                 exactly("eig_sym input must be square, got shape (2, 3)")),
-    "eig-asymmetric": (lambda: mk.eig_sym(ASYMMETRIC), AsymmetricMatrixError,
-                       asymmetric("eig_sym input")),
-    "pd-bool": (lambda: mk.is_positive_definite(BOOL), ParameterError,
-                exactly("is_positive_definite input must hold numbers, got True")),
-    "pd-nan": (lambda: mk.is_positive_definite(NAN), NonFiniteError,
-               exactly("is_positive_definite input contains non-finite entries")),
-    "pd-wide": (lambda: mk.is_positive_definite(WIDE), DimensionError,
-                exactly("is_positive_definite input must be square, got shape (2, 3)")),
-    "pd-asymmetric": (lambda: mk.is_positive_definite(ASYMMETRIC), AsymmetricMatrixError,
-                      asymmetric("is_positive_definite input")),
-    "invert-bool": (lambda: mk.invert(BOOL), ParameterError,
-                    exactly("invert input must hold numbers, got True")),
-    "invert-nan": (lambda: mk.invert(NAN), NonFiniteError,
-                   exactly("invert input contains non-finite entries")),
-    "invert-wide": (lambda: mk.invert(WIDE), DimensionError,
-                    exactly("invert input must be square, got shape (2, 3)")),
-    "invert-singular": (lambda: mk.invert(SINGULAR), SingularMatrixError,
-                        singular(ZERO, "1.000e-12")),
-    "invert-nearly-singular": (lambda: mk.invert(NEARLY_SINGULAR_PD), SingularMatrixError,
-                               singular(NUMBER, "1.000e-12")),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_bad_input_is_refused(case):
     call, error, pattern = CASES[case]
-    with np.errstate(over="ignore"), pytest.raises(error) as info:  # the huge cases overflow
+    with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
     assert re.fullmatch(pattern, str(info.value)), str(info.value)
-
-
-def test_positive_definite_answers_without_refusing():
-    # a verdict, not an error, for every square finite input
-    assert mk.is_positive_definite(S)
-    assert not mk.is_positive_definite(NOT_PD)
-    assert not mk.is_positive_definite(SINGULAR)
-    assert mk.is_positive_definite(NEARLY_SINGULAR_PD)
-    with np.errstate(over="ignore"):
-        assert not mk.is_positive_definite(HUGE)  # by the pivot rule, not by overflow
 
 
 def test_huge_positive_definite_sigma_is_accepted():
