@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from stabkit import ExpertPolicy, analytic_ndim
+from stabkit import ExpertPolicy, analytic_ndim, second_order_coefficients
 from stabkit import matrixkit as mk
 from stabkit.errors import (
     AsymmetricMatrixError,
@@ -136,6 +136,82 @@ class TestSymmetryTolerance:
         assert np.array_equal(policy.Sigma, [[1.0, 5e-15], [5e-15, 1.0]])
 
 
+def _ndim_margins(a, k, sigma, b=None, g=1.0, alpha=1.0):
+    """(gain_vs_plant, closed_loop) margins and the label of ``analytic_ndim``."""
+    b = np.eye(len(a)) if b is None else b
+    verdict = analytic_ndim(a, b, k, sigma, g, alpha)
+    return verdict.margins["gain_vs_plant"], verdict.margins["closed_loop"], verdict.label
+
+
+def _oracle_margins(a, b, k, sigma, g, alpha):
+    """The same margins from ``numpy.linalg`` directly."""
+    precision = g * g * alpha * np.linalg.inv(sigma)
+    precision = 0.5 * (precision + precision.T)
+    closed_loop = precision @ (a - b @ k)
+    gain = np.linalg.eigvalsh(precision)[0] - np.linalg.eigvalsh(0.5 * (a + a.T))[-1]
+    return gain, -np.linalg.eigvalsh(0.5 * (closed_loop + closed_loop.T))[-1]
+
+
+class TestVerdictEigenvalues:
+    """The extreme eigenvalues of sym(A), of the precision P and of
+    sym(P (A - B K)), as the N-D verdict reads them."""
+
+    def test_diagonal(self):
+        # P = diag(1, 2, 4), A - B K = diag(-3, -2, -1)
+        gain, cl, _ = _ndim_margins(np.diag([1.0, 2.0, 3.0]), 4.0 * np.eye(3),
+                                    np.diag([1.0, 0.5, 0.25]))
+        assert np.allclose([gain, cl], [1.0 - 3.0, 3.0])
+
+    def test_offdiagonal_pair(self):
+        # sym(A) has lambda^2 - 1 = 0; A - 2 I has eigenvalues -3 and -1
+        gain, cl, _ = _ndim_margins([[0.0, 1.0], [1.0, 0.0]], 2.0 * np.eye(2), np.eye(2))
+        assert np.allclose([gain, cl], [0.0, 1.0], atol=1e-12)
+
+    def test_two_by_two(self):
+        # (2 - lambda)^2 - 1 = 0  ->  {1, 3}
+        gain, cl, _ = _ndim_margins([[2.0, 1.0], [1.0, 2.0]], 4.0 * np.eye(2), np.eye(2))
+        assert np.allclose([gain, cl], [1.0 - 3.0, 1.0])
+
+    def test_reads_the_symmetric_part_of_a(self):
+        # sym([[0, 2], [0, 0]]) = [[0, 1], [1, 0]]; P = 2 I
+        gain, cl, _ = _ndim_margins([[0.0, 2.0], [0.0, 0.0]], np.eye(2), 0.5 * np.eye(2))
+        # sym(2 (A - I)) = [[-2, 2], [2, -2]] has eigenvalues -4 and 0
+        assert np.allclose([gain, cl], [2.0 - 1.0, 0.0], atol=1e-12)
+
+    def test_matches_numpy_oracle(self):
+        for _ in range(30):
+            n = int(RNG.integers(2, 13))
+            a, k = RNG.normal(size=(n, n)), RNG.normal(size=(n, n))
+            b = RNG.normal(size=(n, n)) + n * np.eye(n)
+            root = RNG.normal(size=(n, n))
+            sigma = mk.symmetric_part(root @ root.T + n * np.eye(n))
+            g, alpha = RNG.uniform(0.5, 2.0, size=2)
+            gain, cl, _ = _ndim_margins(a, k, sigma, b=b, g=g, alpha=alpha)
+            want = _oracle_margins(a, b, k, sigma, g, alpha)
+            scale = max(1.0, *np.abs(want))
+            assert np.allclose([gain, cl], want, rtol=0.0, atol=1e-10 * scale)
+
+    def test_matches_oracle_at_n16(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            a, k = rng.normal(size=(16, 16)) * 5, rng.normal(size=(16, 16))
+            sigma = mk.symmetric_part(np.diag(rng.uniform(0.5, 2.0, size=16)))
+            gain, cl, _ = _ndim_margins(a, k, sigma)
+            want = _oracle_margins(a, np.eye(16), k, sigma, 1.0, 1.0)
+            assert np.allclose([gain, cl], want, rtol=0.0, atol=1e-10 * max(np.abs(want)))
+
+    def test_identity_is_exact(self):
+        gain, cl, label = _ndim_margins(np.eye(16), 2.0 * np.eye(16), np.eye(16))
+        assert gain == 0.0 and cl == 1.0
+        assert label == "marginal"
+
+    def test_where_the_symmetric_sum_overflows(self):
+        # 1.5e308 + 1.5e308 overflows; the symmetric part of A is A itself
+        gain, cl, label = _ndim_margins([[1.5e308, 0.0], [0.0, 1.0]], np.eye(2), np.eye(2))
+        assert gain == 1.0 - 1.5e308 and cl == -1.5e308
+        assert label == "inconclusive"
+
+
 def _policy_accepts(sigma) -> bool:
     """Whether ``ExpertPolicy`` takes ``sigma`` as positive definite."""
     try:
@@ -192,15 +268,50 @@ class TestSingularityRule:
             inv = ExpertPolicy(K=np.eye(n), Sigma=s).sigma_inv
             assert np.max(np.abs(s @ inv - np.eye(n))) <= 1e-9
 
+    def test_sigma_inverse_of_identity(self):
+        assert np.array_equal(ExpertPolicy(K=np.eye(3), Sigma=np.eye(3)).sigma_inv, np.eye(3))
+
+    def test_sigma_inverse_hand_checkable(self):
+        policy = ExpertPolicy(K=np.eye(2), Sigma=[[2.0, 1.0], [1.0, 2.0]])
+        assert np.allclose(policy.sigma_inv, np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0)
+
+    def test_sigma_inverse_round_trip(self):
+        for _ in range(40):
+            n = int(RNG.integers(1, 13))
+            a = RNG.normal(size=(n, n))
+            s = mk.symmetric_part(a @ a.T + n * np.eye(n))
+            inv = mk.symmetric_part(ExpertPolicy(K=np.eye(n), Sigma=s).sigma_inv)
+            back = ExpertPolicy(K=np.eye(n), Sigma=inv).sigma_inv
+            assert np.max(np.abs(back - s)) <= 1e-8 * np.max(np.abs(s))
+
     def test_rank_deficient_b_raises(self):
         with pytest.raises(SingularMatrixError):
             analytic_ndim(np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.eye(2), np.eye(2), 1.0, 1.0)
+
+    def test_zero_b_raises(self):
+        with pytest.raises(SingularMatrixError):
+            analytic_ndim(np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2), 1.0, 1.0)
+        with pytest.raises(SingularMatrixError):
+            second_order_coefficients(np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2))
+
+    def test_non_square_b_raises(self):
+        with pytest.raises(DimensionError, match=re.escape("B must be square")):
+            second_order_coefficients(np.eye(2), [[1.0], [0.5]], [[1.0, 0.0]], [[0.5]])
 
 
 class TestLapackContracts:
     def test_pd_pivot_rule_is_relative(self):
         assert not _policy_accepts(np.diag([1.0, 1e-13]))
         assert _policy_accepts(np.diag([1.0, 1e-11]))
+
+    def test_pd_pivot_rule_scales_with_the_diagonal(self):
+        # the same pivot ratios, 1e-11 and 1e-13, far from unit scale
+        assert _policy_accepts(np.diag([1e-20, 1e-31]))
+        assert not _policy_accepts(np.diag([1e20, 1e7]))
+        lower = mk.cholesky(np.diag([1e-20, 1e-31]))
+        assert np.allclose(lower @ lower.T, np.diag([1e-20, 1e-31]), rtol=1e-15, atol=0.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            mk.cholesky(np.diag([1e20, 1e7]))
 
     def test_cholesky_refuses_pivot_below_rule(self):
         with pytest.raises(NotPositiveDefiniteError):

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import stabkit as sk
+from stabkit import matrixkit as mk
 from stabkit.errors import (
     AsymmetricMatrixError,
     DimensionError,
     NonFiniteError,
+    NotPositiveDefiniteError,
     ParameterError,
     SingularMatrixError,
 )
@@ -180,6 +182,40 @@ CASES = {
     # augmented_matrix
     "augmented-tall-K": (lambda: sk.augmented_matrix(2.0, 1.0, TALL, 1.0), DimensionError,
                          exactly("policy K is 2x1, plant expects 1x1")),
+    # analytic_1d
+    "scalar-nan": (lambda: sk.analytic_1d(math.nan, 1.0, 2.0, 0.5, 1.0, 1.0), NonFiniteError,
+                   exactly("A must be finite, got nan")),
+    "scalar-zero-sigma": (lambda: sk.analytic_1d(0.5, 1.0, 2.0, 0.0, 1.0, 1.0), ParameterError,
+                          exactly("sigma must be > 0, got 0.0")),
+    "scalar-gain-overflows": (lambda: sk.analytic_1d(0.5, 1.0, 2.0, 1e-200, 1.0, 1.0),
+                              ParameterError,
+                              exactly("effective gain g^2 alpha / sigma^2 overflows at "
+                                      "sigma=1e-200, g=1.0, alpha=1.0")),
+    "scalar-gain-underflows": (lambda: sk.analytic_1d(0.5, 1.0, 2.0, 1e100, 1e-200, 1.0),
+                               ParameterError, exactly("effective gain must be > 0, got 0.0")),
+    # matrixkit: the symmetry contract and the Cholesky factor
+    "symmetric-bool": (lambda: mk.check_symmetric(BOOL, "S"), ParameterError,
+                       exactly("S must hold numbers, got True")),
+    "symmetric-nan": (lambda: mk.check_symmetric(NAN, "S"), NonFiniteError,
+                      exactly("S contains non-finite entries")),
+    "symmetric-wide": (lambda: mk.check_symmetric(WIDE, "S"), DimensionError,
+                       exactly("S must be square, got shape (2, 3)")),
+    "symmetric-asymmetric": (lambda: mk.check_symmetric(ASYMMETRIC, "S"),
+                             AsymmetricMatrixError, asymmetric("S")),
+    "cholesky-bool": (lambda: mk.cholesky(BOOL), ParameterError,
+                      exactly("cholesky input must hold numbers, got True")),
+    "cholesky-nan": (lambda: mk.cholesky(NAN), NonFiniteError,
+                     exactly("cholesky input contains non-finite entries")),
+    "cholesky-wide": (lambda: mk.cholesky(WIDE), DimensionError,
+                      exactly("cholesky input must be square, got shape (2, 3)")),
+    "cholesky-asymmetric": (lambda: mk.cholesky(ASYMMETRIC), AsymmetricMatrixError,
+                            asymmetric("cholesky input")),
+    "cholesky-not-pd": (lambda: mk.cholesky(NOT_PD), NotPositiveDefiniteError,
+                        exactly("matrix is not positive definite")),
+    "cholesky-singular": (lambda: mk.cholesky(SINGULAR), NotPositiveDefiniteError,
+                          exactly("matrix is not positive definite")),
+    "cholesky-huge": (lambda: mk.cholesky(HUGE), NotPositiveDefiniteError,
+                      exactly("matrix is not positive definite")),
 }
 
 
