@@ -19,7 +19,6 @@ from .diffusion_controller import DiffusionParams, RngStream
 from .errors import (
     DatasetFormatError,
     DimensionError,
-    NonFiniteError,
     ParameterError,
     RankDeficiencyError,
 )
@@ -218,11 +217,7 @@ def estimate_covariance(demos: DemonstrationSet, k_hat) -> np.ndarray:
         residuals = demos.actions + demos.states @ k_hat.T
         centered = residuals - residuals.mean(axis=0)
         cov = (centered.T @ centered) / (demos.n_records - 1)
-    if not np.isfinite(cov).all():
-        raise NonFiniteError(
-            "the residual covariance of the demonstrations overflows: "
-            "the residuals u + K_hat e are too large to square"
-        )
+    matrixkit._finite(cov, "the residual covariance of the demonstrations")
     return matrixkit._symmetric(cov) + DEFAULT_COV_FLOOR * np.eye(demos.n_actions)
 
 

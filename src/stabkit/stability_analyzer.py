@@ -63,10 +63,8 @@ def _precision(g: float, alpha: float, sigma_inv: np.ndarray) -> np.ndarray:
     Sigma^{-1}; refused unless it is finite and positive definite."""
     with np.errstate(over="ignore", invalid="ignore"):
         precision = matrixkit._symmetric(g * g * alpha * sigma_inv)
-    if not np.isfinite(precision).all():
-        raise NonFiniteError(
-            f"matrix effective gain g^2 alpha Sigma^-1 overflows at g={g}, alpha={alpha}"
-        )
+    name = f"matrix effective gain g^2 alpha Sigma^-1 at g={g}, alpha={alpha}"
+    matrixkit._finite(precision, name)
     return matrixkit._require_positive_definite(precision, "matrix effective gain")
 
 
@@ -180,13 +178,13 @@ def _scalar_verdicts(a, b, k, sigma, g, alpha, kprime):
     """
     live = a > 0.0
     bk = b * k
-    with np.errstate(over="ignore"):  # a margin past the float range is inf, and decides
+    # a margin past the float range is inf, and decides; sigma* is NaN where A <= 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         margin_cl = bk - a
         margin_kp = kprime - a
+        sigma_star = g * np.sqrt(alpha / a)
     scale_cl = np.maximum(np.maximum(1.0, np.abs(a)), np.abs(bk))
     scale_kp = np.maximum(np.maximum(1.0, np.abs(a)), kprime)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma_star = g * np.sqrt(alpha / a)
     margin_sigma = np.where(live, sigma_star - sigma, np.nan)
     scale_sigma = np.maximum(np.maximum(1.0, sigma), sigma_star)
 
@@ -246,8 +244,7 @@ def _ndim_verdict(plant, policy, diffusion) -> StabilityVerdict:
 
     with np.errstate(over="ignore", invalid="ignore"):
         closed_loop = precision @ (a - b @ k)
-    if not np.isfinite(closed_loop).all():
-        raise NonFiniteError("closed-loop product g^2 alpha Sigma^-1 (A - B K) overflows")
+    matrixkit._finite(closed_loop, "closed-loop product g^2 alpha Sigma^-1 (A - B K)")
     lam_max_cl = float(np.linalg.eigvalsh(matrixkit._symmetric(closed_loop))[-1])
     margin_cl = -lam_max_cl
 

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from stabkit.dataset_quality import DEFAULT_COV_FLOOR
 from stabkit.errors import (
     DatasetFormatError,
     DimensionError,
+    NonFiniteError,
     ParameterError,
     RankDeficiencyError,
 )
@@ -150,6 +152,14 @@ class TestEstimateCovariance:
     def test_requires_two_records(self):
         demos = DemonstrationSet(states=[[1.0]], actions=[[1.0]])
         with pytest.raises(ParameterError):
+            estimate_covariance(demos, [[1.0]])
+
+    def test_mean_residual_past_the_float_range_is_refused(self):
+        # each residual is 1e307, but their sum is not finite, so neither is
+        # their mean; the refusal names the covariance, not the squaring
+        demos = DemonstrationSet(states=np.zeros((50, 1)), actions=np.full((50, 1), 1e307))
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "the residual covariance of the demonstrations contains non-finite entries")):
             estimate_covariance(demos, [[1.0]])
 
 
