@@ -58,16 +58,6 @@ class StabilityVerdict:
         return min(self.margins.values())
 
 
-def _precision(g: float, alpha: float, sigma_inv: np.ndarray) -> np.ndarray:
-    """The effective precision g^2 alpha Sigma^{-1} from a checked
-    Sigma^{-1}; refused unless it is finite and positive definite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        precision = matrixkit._symmetric(g * g * alpha * sigma_inv)
-    name = f"matrix effective gain g^2 alpha Sigma^-1 at g={g}, alpha={alpha}"
-    matrixkit._finite(precision, name)
-    return matrixkit._require_positive_definite(precision, "matrix effective gain")
-
-
 def _nonsingular_b(plant: PlantModel) -> np.ndarray:
     """The plant's B; refused unless it is square and nonsingular, as the
     N-D conditions and the second-order elevation need."""
@@ -237,13 +227,16 @@ def analytic_ndim(A, B, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
 def _ndim_verdict(plant, policy, diffusion) -> StabilityVerdict:
     """:func:`analytic_ndim` of checked inputs whose policy fits the plant."""
     a, b, k = plant.A, _nonsingular_b(plant), policy.K
-    precision = _precision(diffusion.g, diffusion.alpha, policy.sigma_inv)
+    g, alpha = diffusion.g, diffusion.alpha
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are refused by name below
+        precision = matrixkit._symmetric(g * g * alpha * policy.sigma_inv)
+        closed_loop = precision @ (a - b @ k)
+    matrixkit._finite(precision, "matrix effective gain g^2 alpha Sigma^-1")
+    matrixkit._require_positive_definite(precision, "matrix effective gain")
     lam_max_s1 = float(np.linalg.eigvalsh(matrixkit._symmetric(a))[-1])
     lam_min_p = float(np.linalg.eigvalsh(precision)[0])
     margin_gain = lam_min_p - lam_max_s1
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        closed_loop = precision @ (a - b @ k)
     matrixkit._finite(closed_loop, "closed-loop product g^2 alpha Sigma^-1 (A - B K)")
     lam_max_cl = float(np.linalg.eigvalsh(matrixkit._symmetric(closed_loop))[-1])
     margin_cl = -lam_max_cl

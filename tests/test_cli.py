@@ -891,8 +891,8 @@ class TestOverflowRefusals:
         doc = json.loads(json.dumps(self.ND_DOC))
         doc["diffusion"]["g"] = 1e200
         assert self.refused(tmp_path, capsys, ["analyze"], doc) == (
-            2, "error: matrix effective gain g^2 alpha Sigma^-1 at g=1e+200, alpha=1.0 "
-               "contains non-finite entries\n")
+            2, "error: matrix effective gain g^2 alpha Sigma^-1 contains non-finite "
+               "entries\n")
 
     def test_residual_covariance(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
