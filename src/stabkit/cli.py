@@ -270,23 +270,12 @@ def cmd_sweep(args) -> int:
     if args.jobs < 0:
         raise ParameterError(f"--jobs must be >= 0, got {args.jobs}")
     config = _load_config(args.config, require=("plant", "policy", "diffusion"))
-    plant, policy, diffusion = config.plant, config.policy, config.diffusion
-    if plant.n_states != 1 or plant.n_inputs != 1:
-        raise ParameterError("sweep requires a scalar plant")
-    _check_fit(plant.B, policy.K)
     axis1 = _parse_axis_flag(args.axis1)
     axis2 = _parse_axis_flag(args.axis2)
-    base = {
-        "A": float(plant.A[0, 0]),
-        "B": float(plant.B[0, 0]),
-        "K": float(policy.K[0, 0]),
-        "sigma": float(np.sqrt(policy.Sigma[0, 0])),
-        "g": diffusion.g,
-        "alpha": diffusion.alpha,
-    }
     try:
         grid = sweep_region(
-            base, axis1, axis2, empirical=bool(args.empirical), sim_config=config.coupling
+            config.plant, config.policy, config.diffusion, axis1, axis2,
+            empirical=bool(args.empirical), sim_config=config.coupling,
         )
 
         columns = [grid.axis1, grid.axis2, grid.analytic.label, grid.analytic.min_margin]

@@ -19,8 +19,7 @@ never claimed on this path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +69,9 @@ def _resolve_labels(decisive, failure_label: str) -> np.ndarray:
     ``applies`` holds."""
     fails = ties = False
     for margin, scale, applies in decisive:
-        fails = fails | (applies & (margin < -TIE_EPSILON * scale))
-        ties = ties | (applies & (np.abs(margin) <= TIE_EPSILON * scale))
+        tolerance = TIE_EPSILON * np.minimum(scale, np.finfo(float).max)  # inf decides by sign
+        fails = fails | (applies & (margin < -tolerance))
+        ties = ties | (applies & (np.abs(margin) <= tolerance))
     return np.where(fails, failure_label, np.where(ties, "marginal", "stable"))
 
 
@@ -167,9 +167,9 @@ def _scalar_verdicts(a, b, k, sigma, g, alpha, kprime):
     the label.
     """
     live = a > 0.0
-    bk = b * k
     # a margin past the float range is inf, and decides; sigma* is NaN where A <= 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bk = b * k
         margin_cl = bk - a
         margin_kp = kprime - a
         sigma_star = g * np.sqrt(alpha / a)
@@ -203,9 +203,11 @@ def second_order_coefficients(A, B, K, Sigma) -> tuple[np.ndarray, np.ndarray]:
     plant, policy = PlantModel(A=A, B=B), ExpertPolicy(K=K, Sigma=Sigma)
     _check_fit(plant.B, policy.K)
     b = _nonsingular_b(plant)
-    c1 = policy.sigma_inv - plant.A
-    c0 = -(policy.sigma_inv @ (plant.A - b @ policy.K))
-    return c1, c0
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are refused by name below
+        c1 = policy.sigma_inv - plant.A
+        c0 = -(policy.sigma_inv @ (plant.A - b @ policy.K))
+    return (matrixkit._finite(c1, "coefficient C1 = Sigma^-1 - A"),
+            matrixkit._finite(c0, "coefficient C0 = -Sigma^-1 (A - B K)"))
 
 
 def analytic_ndim(A, B, K, Sigma, g: float, alpha: float) -> StabilityVerdict:
@@ -272,11 +274,14 @@ def analytic_verdict(
     and an N-D plant's B is square and nonsingular."""
     _check_fit(plant.B, policy.K)
     if plant.n_states == 1 and plant.n_inputs == 1:
-        sigma = float(np.sqrt(policy.Sigma[0, 0]))
-        return analytic_1d(
-            plant.A[0, 0], plant.B[0, 0], policy.K[0, 0], sigma, diffusion.g, diffusion.alpha
-        )
+        return analytic_1d(*_scalar_reading(plant, policy, diffusion))
     return _ndim_verdict(plant, policy, diffusion)
+
+
+def _scalar_reading(plant, policy, diffusion) -> tuple[float, ...]:
+    """:func:`analytic_1d`'s (A, B, K, sigma = sqrt(Sigma), g, alpha) of a checked 1x1 system."""
+    return (float(plant.A[0, 0]), float(plant.B[0, 0]), float(policy.K[0, 0]),
+            float(np.sqrt(policy.Sigma[0, 0])), diffusion.g, diffusion.alpha)
 
 
 def classify_table_row(
@@ -341,19 +346,6 @@ DEFAULT_SWEEP_SIM = CouplingConfig(
     seed=0,
 )
 
-_BASE_KEYS = ("A", "B", "K", "sigma", "g", "alpha")
-
-
-def _validate_axes(axis1: AxisSpec, axis2: AxisSpec):
-    if axis1.name == axis2.name:
-        raise ParameterError("sweep axes must name two different parameters")
-    names = {axis1.name, axis2.name}
-    if "kprime" in names and names & {"sigma", "g", "alpha"}:
-        raise ParameterError(
-            "a kprime axis fixes sigma from g and alpha and cannot be combined "
-            "with a sigma, g, or alpha axis"
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
@@ -395,18 +387,24 @@ class SweepGrid:
 
 
 def sweep_region(
-    base_params: Mapping[str, float],
+    plant: PlantModel,
+    policy: ExpertPolicy,
+    diffusion: DiffusionParams,
     axis1: AxisSpec,
     axis2: AxisSpec,
     *,
     empirical: bool = False,
     sim_config: CouplingConfig | None = None,
 ) -> SweepGrid:
-    """Evaluate a 2-D parameter grid, row-major over (axis1, axis2), as
-    columns.
+    """Evaluate a 2-D grid of the scalar system ``plant`` under ``policy``
+    and ``diffusion``, row-major over (axis1, axis2), as columns. A cell is
+    that system with the swept parameters replaced: a ``sigma`` value s sets
+    Sigma = s * s, and a ``kprime`` value k sets sigma = g sqrt(alpha / k)
+    and Sigma = sigma * sigma; elsewhere Sigma stays, and the analytic
+    verdict reads sigma = sqrt(Sigma), as :func:`analytic_verdict` does.
 
     With ``empirical``, every cell also gets the verdict ``classify_empirical``
-    gives the deterministic per-step ``simulate`` run of its scalar system,
+    gives the deterministic per-step ``simulate`` run of its system,
     computed as columns by :func:`~stabkit.coupled_sim.simulate_scalar_grid`.
     The runs take dt, horizon, e0, u0 and record_stride from ``sim_config``
     and ignore its mode and seed: no run draws noise, and no drift or
@@ -416,58 +414,52 @@ def sweep_region(
     ``empirical`` the cell's policy) raises that evaluation's error; the
     first such cell in row-major order is reported.
     """
-    _validate_axes(axis1, axis2)
-    missing = [key for key in _BASE_KEYS if key not in base_params]
-    if missing:
-        raise ParameterError(f"base parameters missing keys: {missing}")
+    if plant.n_states != 1 or plant.n_inputs != 1:
+        raise ParameterError("sweep requires a scalar plant")
+    _check_fit(plant.B, policy.K)
+    names = {axis1.name, axis2.name}
+    if len(names) == 1:
+        raise ParameterError("sweep axes must name two different parameters")
+    if "kprime" in names and names & {"sigma", "g", "alpha"}:
+        raise ParameterError(
+            "a kprime axis fixes sigma from g and alpha and cannot be combined "
+            "with a sigma, g, or alpha axis"
+        )
     column1 = np.repeat(axis1.values(), axis2.steps)
     column2 = np.tile(axis2.values(), axis1.steps)
-    params = {key: np.full(column1.shape, float(base_params[key])) for key in _BASE_KEYS}
+    reading = _scalar_reading(plant, policy, diffusion)  # named by the first six axis names
+    params = {name: np.full(column1.shape, value) for name, value in zip(AXIS_NAMES, reading)}
     with np.errstate(all="ignore"):
         for name, column in ((axis1.name, column1), (axis2.name, column2)):
             if name == "kprime":
                 params["sigma"] = params["g"] * np.sqrt(params["alpha"] / column)
             else:
                 params[name] = column
-        sigma, g, alpha = params["sigma"], params["g"], params["alpha"]
+        a, b, k, sigma, g, alpha = params.values()
         kprime = g * g * alpha / (sigma * sigma)
-    refused = ~((sigma > 0.0) & (g > 0.0) & (alpha > 0.0) & (kprime > 0.0) & (kprime < math.inf))
-    refused |= ~(np.isfinite(params["A"]) & np.isfinite(params["B"]) & np.isfinite(params["K"]))
+        swept = names & {"sigma", "kprime"}  # a swept sigma sets Sigma = sigma * sigma
+        variance = sigma * sigma if swept else np.full(sigma.shape, policy.Sigma[0, 0])
+    # g and alpha are > 0; a sigma of 0 or inf gives K' = inf or 0
+    refused = ~((kprime > 0.0) & (kprime < math.inf))
     if empirical:
-        variance = _policy_variance(sigma)
         # a 1 x 1 variance is positive definite iff it is finite and > 0
         refused |= ~(np.isfinite(variance) & (variance > 0.0))
     if refused.any():
         index = int(refused.argmax())
-        _evaluate_cell({key: float(params[key][index]) for key in _BASE_KEYS}, empirical)
+        _evaluate_cell(index, params, variance if empirical else None)
         raise RuntimeError(f"sweep cell {index} is refused on the grid but accepted on its own")
-    grid = SweepGrid(
-        (axis1.steps, axis2.steps),
-        column1,
-        column2,
-        _scalar_verdicts(params["A"], params["B"], params["K"], sigma, g, alpha, kprime),
-    )
-    if not empirical:
-        return grid
-    label, rate, residual = simulate_scalar_grid(
-        params["A"], params["B"], params["K"], variance, g, alpha,
-        sim_config if sim_config is not None else DEFAULT_SWEEP_SIM,
-    )
-    return replace(grid, empirical_label=label, empirical_rate=rate, empirical_residual=residual)
-
-
-def _policy_variance(sigma: np.ndarray) -> np.ndarray:
-    """The variance ``ExpertPolicy(K, [[sigma ** 2]])`` stores for each cell:
-    its symmetric part, inf where the square overflows. The squares are
-    taken one by one, as ``**`` on one float, which can round differently
-    from ``sigma * sigma`` in the last bit."""
-    with np.errstate(over="ignore"):
-        squared = np.array([value**2 for value in sigma])
-    return matrixkit._symmetric(squared.reshape(-1, 1, 1)).reshape(-1)
-
-
-def _evaluate_cell(params: dict, empirical: bool):
-    """The one-cell evaluation of a refused cell, which raises its error."""
-    analytic_1d(**params)
+    verdicts = _scalar_verdicts(a, b, k, sigma, g, alpha, kprime)
+    empirical_columns = ()  # label, rate and residual, in SweepGrid's field order
     if empirical:
-        ExpertPolicy(K=[[params["K"]]], Sigma=[[params["sigma"] ** 2]])
+        empirical_columns = simulate_scalar_grid(
+            a, b, k, variance, g, alpha,
+            sim_config if sim_config is not None else DEFAULT_SWEEP_SIM,
+        )
+    return SweepGrid((axis1.steps, axis2.steps), column1, column2, verdicts, *empirical_columns)
+
+
+def _evaluate_cell(index: int, params: dict, variance: np.ndarray | None):
+    """The one-cell evaluation of refused cell ``index``, which raises its error."""
+    analytic_1d(**{name: column[index] for name, column in params.items()})
+    if variance is not None:
+        ExpertPolicy(K=[[params["K"][index]]], Sigma=[[variance[index]]])

@@ -756,16 +756,69 @@ class TestParserReuse:
 def sweep_grid(doc, axis1, axis2, empirical):
     """The grid ``sweep`` writes, computed without the CLI's writer."""
     config = cli.parse_run_config(doc, require=("plant", "policy", "diffusion"))
-    base = {
-        "A": float(config.plant.A[0, 0]),
-        "B": float(config.plant.B[0, 0]),
-        "K": float(config.policy.K[0, 0]),
-        "sigma": float(np.sqrt(config.policy.Sigma[0, 0])),
-        "g": config.diffusion.g,
-        "alpha": config.diffusion.alpha,
-    }
-    return sweep_region(base, cli._parse_axis_flag(axis1), cli._parse_axis_flag(axis2),
+    return sweep_region(config.plant, config.policy, config.diffusion,
+                        cli._parse_axis_flag(axis1), cli._parse_axis_flag(axis2),
                         empirical=empirical, sim_config=config.coupling)
+
+
+class TestSweepCellIsItsConfig:
+    """A sweep cell is the config's system with the swept parameters
+    replaced: its empirical label and rate are what ``simulate`` (or the
+    ``phase-plane --kprime`` series) prints for that system, and its
+    analytic cell is what ``analyze`` prints."""
+
+    DOC = {
+        "plant": {"A": 2.0, "B": 1.0},
+        "diffusion": {"g": 1.0, "alpha": 1.0},
+        "coupling": {"mode": "per-step", "dt": 0.01, "horizon": 20.0, "e0": [1.0]},
+    }
+    # sqrt(Sigma) ** 2 != Sigma for the first; s ** 2 != s * s for the second
+    POLICIES = [{"K": 3.0, "Sigma": [[0.2903717016735131]]},
+                {"K": 3.0, "sigma": 0.5080903893875288}]
+
+    @staticmethod
+    def run(tmp_path, capsys, doc, argv):
+        cfg = write_config(tmp_path, doc, name=f"{argv[0]}.json")
+        assert cli.main([argv[0], "-c", cfg, *argv[1:]]) == 0
+        return capsys.readouterr().out
+
+    def sweep_cell(self, tmp_path, capsys, doc, axis2):
+        """(analytic label, smallest margin, empirical label, rate) of the
+        one cell of an A = 2 by ``axis2`` empirical sweep."""
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--empirical", "--axis1", "A:2:2:1", "--axis2", axis2, "-o", str(out)]
+        self.run(tmp_path, capsys, doc, argv)
+        _, _, label, margin, empirical_label, rate = out.read_text().splitlines()[2].split(",")
+        return label, float(margin), empirical_label, float(rate)
+
+    def expected_cell(self, tmp_path, capsys, doc):
+        analytic = json.loads(self.run(tmp_path, capsys, doc, ["analyze"]))
+        argv = ["simulate", "-o", str(tmp_path / "t.csv")]
+        run = json.loads(self.run(tmp_path, capsys, doc, argv))
+        return analytic["label"], min(analytic["margins"].values()), run["label"], run["rate"]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_cell_at_the_config_point(self, tmp_path, capsys, policy):
+        doc = dict(self.DOC, policy=policy)
+        got = self.sweep_cell(tmp_path, capsys, doc, "K:3:3:1")
+        assert got == self.expected_cell(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_sigma_axis_cell(self, tmp_path, capsys, policy):
+        s = 0.2502509152295432  # s ** 2 != s * s, and their rates differ in the last bits
+        axis2 = f"sigma:{s!r}:{s!r}:1"
+        got = self.sweep_cell(tmp_path, capsys, dict(self.DOC, policy=policy), axis2)
+        doc = dict(self.DOC, policy={"K": 3.0, "sigma": s})
+        assert got == self.expected_cell(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_kprime_axis_cell(self, tmp_path, capsys, policy):
+        k = 5.699063304152867  # sigma = sqrt(1 / k) has sigma ** 2 != sigma * sigma
+        doc = dict(self.DOC, policy=policy)
+        got = self.sweep_cell(tmp_path, capsys, doc, f"kprime:{k!r}:{k!r}:1")
+        argv = ["phase-plane", "--kprime", repr(k), "-o", str(tmp_path / "p.csv")]
+        series = json.loads(self.run(tmp_path, capsys, doc, argv))["series"][1]
+        assert got[2:] == (series["label"], series["rate"])
 
 
 class TestOutputBytes:
@@ -918,6 +971,17 @@ class TestOverflowRefusals:
         assert cli.main(argv) == 0
         assert capsys.readouterr().err == ""
         assert [row.split(",")[2] for row in out.read_text().splitlines()[2:]] == ["stable"] * 4
+
+    @pytest.mark.parametrize("k, label, margin", [(1e300, "stable", "inf"),
+                                                  (-1e300, "unstable", "-inf")])
+    def test_scalar_closed_loop_margin_is_inf(self, tmp_path, capsys, k, label, margin):
+        # B K is past the float range; K' = 4 > A = 1, so its sign decides
+        doc = {"plant": {"A": 1.0, "B": 1e300}, "policy": {"K": k, "sigma": 0.5}}
+        assert cli.main(["analyze", "-c", write_config(tmp_path, doc)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        verdict = json.loads(captured.out)
+        assert (verdict["label"], verdict["margins"]["closed_loop"]) == (label, margin)
 
     def test_dataset_check_prints_json(self, tmp_path, capsys):
         # the fitted sigma_hat ~ 0.101 gives the same infinite gain margin

@@ -304,11 +304,22 @@ class TestMonotoneSigmaFlip:
         assert labels[0] == "stable" and labels[-1] == "unstable"
 
 
+def _sweep(base, axis1, axis2, **kwargs):
+    """``sweep_region`` of the scalar system with ``base``'s parameters, whose
+    policy holds Sigma = sigma * sigma."""
+    return sweep_region(
+        PlantModel(A=base["A"], B=base["B"]),
+        ExpertPolicy(K=base["K"], Sigma=[[base["sigma"] * base["sigma"]]]),
+        DiffusionParams(g=base["g"], alpha=base["alpha"]),
+        axis1, axis2, **kwargs,
+    )
+
+
 class TestSweepRegion:
     BASE = {"A": 2.0, "B": 1.0, "K": 3.0, "sigma": 0.5, "g": 1.0, "alpha": 1.0}
 
     def test_single_cell_reduces_to_analytic(self):
-        grid = sweep_region(
+        grid = _sweep(
             self.BASE,
             AxisSpec("A", 2.0, 2.0, 1),
             AxisSpec("kprime", 3.0, 3.0, 1),
@@ -325,7 +336,7 @@ class TestSweepRegion:
         checked = 0
         for a in np.linspace(0.5, 4.0, 8):
             base = dict(self.BASE, A=float(a), K=float(a) + 1.0)
-            grid = sweep_region(
+            grid = _sweep(
                 base,
                 AxisSpec("A", float(a), float(a), 1),
                 AxisSpec("kprime", 0.1, 6.0, 24),
@@ -346,7 +357,7 @@ class TestSweepRegion:
         agree = total = 0
         for a in np.linspace(0.5, 4.0, 6):
             base = dict(self.BASE, A=float(a), K=float(a) + 1.0)
-            grid = sweep_region(
+            grid = _sweep(
                 base,
                 AxisSpec("B", 1.0, 1.0, 1),
                 AxisSpec("kprime", 0.3, 6.0, 12),
@@ -374,13 +385,13 @@ class TestSweepRegion:
             record_stride=4,
         )
         axis1, axis2 = AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6)
-        grid = sweep_region(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
+        grid = _sweep(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
         rates = []
         for index, (a_value, kprime) in enumerate(zip(grid.axis1.tolist(), grid.axis2.tolist())):
             sigma = math.sqrt(1.0 / kprime)  # g = alpha = 1
             trajectory = simulate(
                 PlantModel(A=[[a_value]], B=[[1.0]], setpoint=[0.0]),
-                ExpertPolicy(K=[[3.0]], Sigma=[[sigma**2]]),
+                ExpertPolicy(K=[[3.0]], Sigma=[[sigma * sigma]]),
                 DiffusionParams(g=1.0, alpha=1.0),
                 CouplingConfig(
                     mode="per-step", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0],
@@ -397,7 +408,7 @@ class TestSweepRegion:
         assert any(math.isfinite(rate) for rate in rates)
 
     def test_row_major_order_and_seed_independence(self):
-        grid = sweep_region(
+        grid = _sweep(
             self.BASE,
             AxisSpec("A", 1.0, 2.0, 2),
             AxisSpec("kprime", 1.0, 3.0, 3),
@@ -414,11 +425,11 @@ class TestSweepRegion:
         with pytest.raises(ParameterError):
             AxisSpec("A", 0.0, 1.0, 0)
         with pytest.raises(ParameterError):
-            sweep_region(
+            _sweep(
                 self.BASE, AxisSpec("kprime", 1.0, 2.0, 2), AxisSpec("sigma", 0.1, 1.0, 2)
             )
         with pytest.raises(ParameterError):
-            sweep_region(
+            _sweep(
                 self.BASE, AxisSpec("A", 1.0, 2.0, 2), AxisSpec("A", 1.0, 2.0, 2)
             )
 
@@ -427,7 +438,7 @@ class TestSweepRegion:
         points = []
         for a in np.linspace(0.5, 4.0, 8):
             base = dict(self.BASE, A=float(a), K=float(a) + 1.0)
-            points += sweep_region(
+            points += _sweep(
                 base,
                 AxisSpec("A", float(a), float(a), 1),
                 AxisSpec("kprime", 0.1, 6.0, 32),
@@ -475,7 +486,7 @@ class TestNonFiniteEffectiveGain:
         with pytest.raises(ParameterError) as expected:
             analytic_1d(**_cell_params(self.BASE, axis1, axis2, 1e-160, 1.0))
         with pytest.raises(ParameterError) as caught:
-            sweep_region(self.BASE, axis1, axis2, empirical=empirical)
+            _sweep(self.BASE, axis1, axis2, empirical=empirical)
         assert str(caught.value) == str(expected.value)
         assert "sigma=1e-160" in str(caught.value)
 
@@ -484,9 +495,9 @@ class TestNonFiniteEffectiveGain:
         # 1.44e308 doubles past the float range, yet its symmetric part is itself,
         # so the policy accepts it and the empirical grid runs the cell
         axis1, axis2 = AxisSpec("sigma", 1.0, 1.2e154, 2), AxisSpec("K", 1.0, 2.0, 2)
-        policy = ExpertPolicy(K=[[1.0]], Sigma=[[1.2e154**2]])
-        assert policy.Sigma[0, 0] == 1.2e154**2
-        grid = sweep_region(self.BASE, axis1, axis2, empirical=True)
+        policy = ExpertPolicy(K=[[1.0]], Sigma=[[1.2e154 * 1.2e154]])
+        assert policy.Sigma[0, 0] == 1.2e154 * 1.2e154
+        grid = _sweep(self.BASE, axis1, axis2, empirical=True)
         run = classify_empirical(simulate(
             PlantModel(A=1.0, B=1.0), policy, DiffusionParams(g=1.0, alpha=1.0),
             stability_analyzer.DEFAULT_SWEEP_SIM,
@@ -505,30 +516,30 @@ class TestNonFiniteEffectiveGain:
             analytic_1d(**_cell_params(self.BASE, axis1, axis2, float(v1), 1.0))
         for empirical in (False, True):
             with pytest.raises(ParameterError) as caught:
-                sweep_region(self.BASE, axis1, axis2, empirical=empirical)
+                _sweep(self.BASE, axis1, axis2, empirical=empirical)
             assert str(caught.value) == str(expected.value)
 
     def test_first_refused_cell_wins_over_a_later_overflow(self):
         axis1, axis2 = AxisSpec("sigma", 1e-160, 1e155, 2), AxisSpec("K", 1.0, 2.0, 2)
         with pytest.raises(ParameterError, match="sigma=1e-160"):
-            sweep_region(self.BASE, axis1, axis2, empirical=True)
+            _sweep(self.BASE, axis1, axis2, empirical=True)
 
-    def test_grid_refusal_must_be_a_one_cell_refusal(self, monkeypatch):
+    @pytest.mark.parametrize("empirical", [False, True])
+    def test_grid_refusal_must_be_a_one_cell_refusal(self, monkeypatch, empirical):
         # a grid mask that refuses a cell its one-cell evaluation accepts
-        # is an internal fault, not a silent pass
-        monkeypatch.setattr(
-            stability_analyzer, "_policy_variance", lambda sigma: np.zeros_like(sigma)
-        )
+        # is an internal fault, not a silent pass: here sigma = 1e-160, whose
+        # K' overflows, meets an analytic_1d that accepts every cell
+        monkeypatch.setattr(stability_analyzer, "analytic_1d", lambda **cell: None)
         with pytest.raises(RuntimeError, match="sweep cell 0"):
-            sweep_region(
-                self.BASE, AxisSpec("A", 0.5, 1.0, 2), AxisSpec("K", 1.0, 2.0, 2),
-                empirical=True,
+            _sweep(
+                self.BASE, AxisSpec("sigma", 1e-160, 0.5, 2), AxisSpec("K", 1.0, 2.0, 2),
+                empirical=empirical,
             )
 
     def test_empirical_grid_checks_start_lengths(self):
         sim = CouplingConfig(mode="per-step", dt=1e-2, horizon=1.0, e0=[1.0, 2.0], u0=[0.0])
         with pytest.raises(DimensionError, match="e0 has length 2, plant expects 1"):
-            sweep_region(
+            _sweep(
                 self.BASE, AxisSpec("A", 0.5, 1.0, 2), AxisSpec("K", 1.0, 2.0, 2),
                 empirical=True, sim_config=sim,
             )
@@ -544,13 +555,13 @@ class TestNonFiniteParameters:
         with pytest.raises(NonFiniteError, match=f"{name} must be finite"):
             analytic_1d(**params)
 
-    @pytest.mark.parametrize("name", ["A", "B", "K"])
-    @pytest.mark.parametrize("empirical", [False, True])
-    def test_sweep_refuses_non_finite_base(self, name, empirical):
-        base = dict(self.BASE, **{name: math.nan})
-        axis1, axis2 = AxisSpec("sigma", 0.5, 1.0, 2), AxisSpec("alpha", 1.0, 2.0, 2)
-        with pytest.raises(NonFiniteError, match=f"{name} must be finite"):
-            sweep_region(base, axis1, axis2, empirical=empirical)
+    @pytest.mark.parametrize("k, label", [(1e300, "stable"), (-1e300, "unstable")])
+    def test_overflowing_closed_loop_margin_decides_by_sign(self, k, label):
+        # B K = +-inf: K' = 4 > A = 1 holds, so the closed loop alone decides
+        verdict = analytic_1d(1.0, 1e300, k, 0.5, 1.0, 1.0)
+        assert verdict.label == label
+        assert verdict.margins["closed_loop"] == math.copysign(math.inf, k)
+        assert verdict.conditions == {"closed_loop": k > 0.0, "variance_bound": True}
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_axis_span_must_not_overflow(self, steps):
@@ -577,12 +588,14 @@ class TestGridVerdictParity:
         (AxisSpec("B", 1.5, 1.5, 1), AxisSpec("sigma", 0.2, 2.0, 7), {}),
         (AxisSpec("K", -3.0, 3.0, 7), AxisSpec("A", 0.0, 0.0, 1), {}),
         (AxisSpec("A", 2.0, 2.0, 1), AxisSpec("kprime", 3.0, 3.0, 1), {}),
+        # B K past the float range: an infinite closed-loop margin decides by its sign
+        (AxisSpec("B", -1e300, 1e300, 5), AxisSpec("A", -1.0, 1.0, 3), {"K": 1e300}),
     ]
 
     @pytest.mark.parametrize("axis1, axis2, overrides", GRIDS)
     def test_grid_equals_per_cell_analytic(self, axis1, axis2, overrides):
         base = dict(self.BASE, **overrides)
-        grid = sweep_region(base, axis1, axis2)
+        grid = _sweep(base, axis1, axis2)
         values = _grid_values(axis1, axis2)
         assert len(grid) == len(values)
         assert grid.empirical_label is None
@@ -614,7 +627,7 @@ class TestGridVerdictParity:
 
     def test_columns_and_sequence_protocol(self):
         axis1, axis2 = AxisSpec("A", -0.5, 3.0, 4), AxisSpec("kprime", 0.5, 6.0, 5)
-        grid = sweep_region(self.BASE, axis1, axis2)
+        grid = _sweep(self.BASE, axis1, axis2)
         verdicts = [grid.analytic.verdict(i) for i in range(len(grid))]
         values = _grid_values(axis1, axis2)
         assert grid.shape == (4, 5) and len(grid) == 20
@@ -679,13 +692,13 @@ class TestGridEmpiricalParity:
             mode="inner-loop", dt=dt, horizon=10.0, e0=[e0], u0=[0.0], seed=5,
             record_stride=stride,
         )
-        grid = sweep_region(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
+        grid = _sweep(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
         expected = []
         for v1, v2 in _grid_values(axis1, axis2):
             p = _cell_params(self.BASE, axis1, axis2, v1, v2)
             expected.append(classify_empirical(simulate(
                 PlantModel(A=[[p["A"]]], B=[[p["B"]]], setpoint=[0.0]),
-                ExpertPolicy(K=[[p["K"]]], Sigma=[[p["sigma"] ** 2]]),
+                ExpertPolicy(K=[[p["K"]]], Sigma=[[p["sigma"] * p["sigma"]]]),
                 DiffusionParams(g=p["g"], alpha=p["alpha"]),
                 CouplingConfig(
                     mode="per-step", dt=dt, horizon=10.0, e0=[e0], u0=[0.0],
@@ -720,7 +733,7 @@ class TestGridEmpiricalParity:
         sim = CouplingConfig(
             mode="per-step", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0], record_stride=4,
         )
-        grid = sweep_region(self.BASE, AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6),
+        grid = _sweep(self.BASE, AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6),
                             empirical=True, sim_config=sim)
         assert len(grid) == 36 and math.inf in grid.empirical_rate.tolist()
         assert calls == {"classify": 0, "trajectory": 0}
@@ -739,7 +752,7 @@ class TestGridEmpiricalParity:
             mode="per-step", dt=1e-2, horizon=10.0, e0=[0.0], u0=[0.0], record_stride=25,
         )
         for kprime in (AxisSpec("kprime", 1.0, 1e32, 7), AxisSpec("kprime", 0.5, 400.0, 12)):
-            grid = sweep_region(self.BASE, AxisSpec("A", -1.0, 3.0, 5), kprime,
+            grid = _sweep(self.BASE, AxisSpec("A", -1.0, 3.0, 5), kprime,
                                 empirical=True, sim_config=sim)
             assert grid.empirical_label.tolist() == ["stable"] * len(grid)
             assert grid.empirical_rate.tolist() == [-math.inf] * len(grid)

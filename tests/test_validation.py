@@ -161,6 +161,14 @@ CASES = {
                                 singular(ZERO, "1.000e-12")),
     "second-order-singular-Sigma": (lambda: second_order(s=NEARLY_SINGULAR_PD),
                                     SingularMatrixError, singular(NUMBER, "1.000e-12")),
+    "second-order-huge-A": (lambda: second_order(a=HUGE), NonFiniteError,
+                            exactly("coefficient C0 = -Sigma^-1 (A - B K) contains non-finite "
+                                    "entries")),
+    # Sigma^-1 = 1e307 I against A = -1.75e308
+    "second-order-huge-C1": (lambda: second_order(a=[[-1.75e308, 0.0], [0.0, 1.0]],
+                                                  s=[[1e-307, 0.0], [0.0, 1e-307]]),
+                             NonFiniteError,
+                             exactly("coefficient C1 = Sigma^-1 - A contains non-finite entries")),
     # ExpertPolicy
     "policy-bool": (lambda: sk.ExpertPolicy(K=BOOL, Sigma=S), ParameterError,
                     exactly("policy K must hold numbers, got True")),
