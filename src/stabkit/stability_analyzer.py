@@ -68,8 +68,10 @@ def _resolve_labels(decisive, failure_label: str) -> np.ndarray:
     (margin, scale, applies) columns or scalars; a pair counts only where
     ``applies`` holds."""
     fails = ties = False
+    # an infinite scale comes only with an infinite margin, which decides by its sign
+    largest = np.finfo(float).max
     for margin, scale, applies in decisive:
-        tolerance = TIE_EPSILON * np.minimum(scale, np.finfo(float).max)  # inf decides by sign
+        tolerance = TIE_EPSILON * np.minimum(scale, largest)
         fails = fails | (applies & (margin < -tolerance))
         ties = ties | (applies & (np.abs(margin) <= tolerance))
     return np.where(fails, failure_label, np.where(ties, "marginal", "stable"))
@@ -427,7 +429,7 @@ def sweep_region(
         )
     column1 = np.repeat(axis1.values(), axis2.steps)
     column2 = np.tile(axis2.values(), axis1.steps)
-    reading = _scalar_reading(plant, policy, diffusion)  # named by the first six axis names
+    reading = _scalar_reading(plant, policy, diffusion)  # in the order of the first six axes
     params = {name: np.full(column1.shape, value) for name, value in zip(AXIS_NAMES, reading)}
     with np.errstate(all="ignore"):
         for name, column in ((axis1.name, column1), (axis2.name, column2)):
