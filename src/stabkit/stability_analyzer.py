@@ -200,7 +200,8 @@ def second_order_coefficients(A, B, K, Sigma) -> tuple[np.ndarray, np.ndarray]:
     C1 = Sigma^{-1} - A and C0 = -Sigma^{-1} (A - B K).
 
     ``PlantModel`` and ``ExpertPolicy`` check the arrays, and B must be
-    square and nonsingular (the elevation substitutes u = B^{-1}(e' - A e)).
+    square and nonsingular (the elevation substitutes u = B^{-1}(e' - A e));
+    a coefficient past the float range is refused by name.
     """
     plant, policy = PlantModel(A=A, B=B), ExpertPolicy(K=K, Sigma=Sigma)
     _check_fit(plant.B, policy.K)

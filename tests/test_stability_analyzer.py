@@ -555,13 +555,18 @@ class TestNonFiniteParameters:
         with pytest.raises(NonFiniteError, match=f"{name} must be finite"):
             analytic_1d(**params)
 
-    @pytest.mark.parametrize("k, label", [(1e300, "stable"), (-1e300, "unstable")])
-    def test_overflowing_closed_loop_margin_decides_by_sign(self, k, label):
-        # B K = +-inf: K' = 4 > A = 1 holds, so the closed loop alone decides
-        verdict = analytic_1d(1.0, 1e300, k, 0.5, 1.0, 1.0)
+    @pytest.mark.parametrize("a, b, k, label, name, margin", [
+        # B K = +-inf: K' = 4 > A holds, so the closed loop alone decides
+        (1.0, 1e300, 1e300, "stable", "closed_loop", math.inf),
+        (1.0, 1e300, -1e300, "unstable", "closed_loop", -math.inf),
+        # sigma* = g sqrt(alpha / A) overflows for a subnormal A > 0
+        (1e-310, 1.0, 2.0, "stable", "sigma", math.inf),
+    ])
+    def test_infinite_margin_decides_by_its_sign(self, a, b, k, label, name, margin):
+        verdict = analytic_1d(a, b, k, 0.5, 1.0, 1.0)
         assert verdict.label == label
-        assert verdict.margins["closed_loop"] == math.copysign(math.inf, k)
-        assert verdict.conditions == {"closed_loop": k > 0.0, "variance_bound": True}
+        assert verdict.margins[name] == margin
+        assert verdict.conditions == {"closed_loop": label == "stable", "variance_bound": True}
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_axis_span_must_not_overflow(self, steps):
