@@ -35,10 +35,11 @@ from .coupled_sim import (
 from .dataset_quality import QualityReport, load_demonstrations, quality_report
 from .diffusion_controller import DiffusionParams
 from .errors import ConfigError, ParameterError, StabkitError
-from .plant import ExpertPolicy, PlantModel, _check_fit
+from .plant import ExpertPolicy, PlantModel
 from .stability_analyzer import (
     AxisSpec,
     StabilityVerdict,
+    _scalar_cells,
     analytic_verdict,
     sweep_region,
 )
@@ -259,11 +260,10 @@ def _parse_axis_flag(text: str) -> AxisSpec:
         )
     name, lo, hi, steps = parts
     try:
-        return AxisSpec(name=name, start=float(lo), stop=float(hi), steps=int(steps))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, StabkitError):
-            raise
+        start, stop, count = float(lo), float(hi), int(steps)
+    except ValueError as exc:
         raise ParameterError(f"bad axis spec {text!r}: {exc}") from exc
+    return AxisSpec(name=name, start=start, stop=stop, steps=count)
 
 
 def cmd_sweep(args) -> int:
@@ -313,9 +313,6 @@ def cmd_phase_plane(args) -> int:
         config.diffusion,
         config.coupling,
     )
-    if plant.n_states != 1 or plant.n_inputs != 1:
-        raise ParameterError("phase plane requires a scalar plant")
-    _check_fit(plant.B, policy.K)  # before the --kprime policies are built from K
     kprimes: list[float] = []
     if args.kprime:
         for token in args.kprime.split(","):
@@ -329,20 +326,12 @@ def cmd_phase_plane(args) -> int:
             if not (value > 0.0):
                 raise ParameterError(f"kprime values must be > 0, got {value}")
             kprimes.append(value)
+    variances = _scalar_cells(plant, policy, diffusion, (("kprime", np.array(kprimes)),))[-1]
 
+    per_step = replace(coupling, mode=CouplingMode.PER_STEP)
     runs = [("expert", None, replace(coupling, mode=CouplingMode.EXPERT_ORACLE), policy)]
-    for kp in kprimes:
-        sigma = diffusion.g * math.sqrt(diffusion.alpha / kp)
-        variance = sigma * sigma
-        if not (math.isfinite(variance) and variance > 0.0):
-            raise ParameterError(
-                f"--kprime {kp!r} gives the policy variance g^2 alpha / kprime = {variance!r}; "
-                "it must be finite and > 0"
-            )
-        kp_policy = ExpertPolicy(K=policy.K, Sigma=[[variance]])
-        runs.append(
-            (f"kprime={kp:g}", kp, replace(coupling, mode=CouplingMode.PER_STEP), kp_policy)
-        )
+    runs += [(f"kprime={kp:g}", kp, per_step, ExpertPolicy(K=policy.K, Sigma=[[variance]]))
+             for kp, variance in zip(kprimes, variances)]
 
     setpoint = float(plant.setpoint[0])
     rows = []  # (series name, t, x, u) of every run

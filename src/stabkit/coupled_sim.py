@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _textfmt, matrixkit
 from .diffusion_controller import DiffusionParams, RngStream, default_inner_dt
-from .errors import ParameterError
+from .errors import NonFiniteError, ParameterError
 from .plant import ExpertPolicy, PlantModel, _check_fit
 
 # A recorded state or action norm beyond BLOWUP_FACTOR * (1 + |e0|) declares
@@ -114,6 +114,8 @@ class CouplingConfig:
             raise ParameterError(f"record_stride must be >= 1, got {self.record_stride}")
         if self.dt_inner is not None:
             matrixkit._check_positive(dt_inner=self.dt_inner)
+            if self.dt_inner == math.inf:
+                raise NonFiniteError(f"dt_inner must be finite, got {self.dt_inner}")
         object.__setattr__(self, "e0", matrixkit.as_vector(self.e0, "e0"))
         object.__setattr__(self, "u0", matrixkit.as_vector(self.u0, "u0"))
 

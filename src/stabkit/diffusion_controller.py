@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixkit
-from .errors import ParameterError
+from .errors import NonFiniteError, ParameterError
 from .plant import ExpertPolicy
 
 _SEED_MASK = (1 << 64) - 1
@@ -49,10 +49,12 @@ class DiffusionParams:
         object.__setattr__(self, "inner_steps", matrixkit.as_whole(self.inner_steps, "inner_steps"))
         if not isinstance(self.stochastic, bool):
             raise ParameterError(f"stochastic must be true or false, got {self.stochastic!r}")
-        if not (self.g > 0.0):
-            raise ParameterError(f"diffusion coefficient g must be > 0, got {self.g}")
-        if not (self.alpha > 0.0):
-            raise ParameterError(f"time-scale ratio alpha must be > 0, got {self.alpha}")
+        for name, value in (("diffusion coefficient g", self.g),
+                            ("time-scale ratio alpha", self.alpha)):
+            if not (value > 0.0):
+                raise ParameterError(f"{name} must be > 0, got {value}")
+            if np.isinf(value):
+                raise NonFiniteError(f"{name} must be finite, got {value}")
         if self.inner_steps < 1:
             raise ParameterError(f"inner_steps must be >= 1, got {self.inner_steps}")
         if self.drift is not None:

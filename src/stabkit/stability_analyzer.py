@@ -112,17 +112,26 @@ def analytic_1d(
     for name, value in (("A", a), ("B", b), ("K", k)):
         if not math.isfinite(value):
             raise NonFiniteError(f"{name} must be finite, got {value}")
-    sigma_sq = sigma * sigma
-    kprime = g * g * alpha / sigma_sq if sigma_sq > 0.0 else math.inf
-    if kprime == math.inf:
-        raise ParameterError(
-            f"effective gain g^2 alpha / sigma^2 overflows at sigma={sigma}, "
-            f"g={g}, alpha={alpha}"
-        )
-    if not (kprime > 0.0):
-        raise ParameterError(f"effective gain must be > 0, got {kprime}")
-    columns = [np.array([value]) for value in (a, b, k, sigma, g, alpha, kprime)]
-    return _scalar_verdicts(*columns).verdict(0)
+    columns = [np.array([value]) for value in (a, b, k, sigma, g, alpha)]
+    return _scalar_verdicts(*columns, _effective_gain(*columns[3:])).verdict(0)
+
+
+def _effective_gain(sigma, g, alpha) -> np.ndarray:
+    """K' = g^2 alpha / sigma^2 of columns of positive sigma, g and alpha;
+    ParameterError for the first cell whose K' is not in (0, inf)."""
+    with np.errstate(all="ignore"):
+        sigma_sq = sigma * sigma
+        kprime = g * g * alpha / sigma_sq
+    refused = ~((kprime > 0.0) & (kprime < math.inf))
+    if refused.any():
+        i = int(refused.argmax())
+        if kprime[i] == math.inf or sigma_sq[i] == 0.0:
+            raise ParameterError(
+                f"effective gain g^2 alpha / sigma^2 overflows at sigma={float(sigma[i])}, "
+                f"g={float(g[i])}, alpha={float(alpha[i])}"
+            )
+        raise ParameterError(f"effective gain must be > 0, got {float(kprime[i])}")
+    return kprime
 
 
 _VACUOUS_NOTE = (
@@ -158,15 +167,10 @@ class VerdictColumns:
 
 
 def _scalar_verdicts(a, b, k, sigma, g, alpha, kprime):
-    """The scalar test over equal-length columns of validated parameters,
-    with K' = g^2 alpha / sigma^2 given. Each cell sees the IEEE operations
-    of a one-cell call, in the same order.
-
-    Margins are the closed-loop slack B K - A, the gain slack K' - A and
-    (when A > 0) the variance slack g sqrt(alpha / A) - sigma. The two
-    gain-side margins express the same condition in different units; for
-    A <= 0 that condition is vacuous and only the closed-loop margin decides
-    the label.
+    """The test of :func:`analytic_1d`, with its margins, over equal-length
+    columns of checked parameters and K' = g^2 alpha / sigma^2. Each cell's
+    margins are the same IEEE operations on that cell's values alone, so a
+    cell judges alike on any grid and on its own.
     """
     live = a > 0.0
     # a margin past the float range is inf, and decides; sigma* is NaN where A <= 0
@@ -270,21 +274,49 @@ def _ndim_verdict(plant, policy, diffusion) -> StabilityVerdict:
 def analytic_verdict(
     plant: PlantModel, policy: ExpertPolicy, diffusion: DiffusionParams
 ) -> StabilityVerdict:
-    """The verdict for ``plant`` under ``policy`` and ``diffusion``:
-    :func:`analytic_1d` with sigma = sqrt(Sigma) for a 1x1 plant, else
+    """The verdict for ``plant`` under ``policy`` and ``diffusion``: for a
+    1x1 plant, the one cell of :func:`_scalar_cells`, judged as
+    :func:`analytic_1d` judges it with sigma = sqrt(Sigma); else
     :func:`analytic_ndim`. Their constructors checked every array, so only
     how the three fit together is checked here: the policy fits the plant,
     and an N-D plant's B is square and nonsingular."""
-    _check_fit(plant.B, policy.K)
     if plant.n_states == 1 and plant.n_inputs == 1:
-        return analytic_1d(*_scalar_reading(plant, policy, diffusion))
+        return _scalar_verdicts(*_scalar_cells(plant, policy, diffusion)[:7]).verdict(0)
+    _check_fit(plant.B, policy.K)
     return _ndim_verdict(plant, policy, diffusion)
 
 
-def _scalar_reading(plant, policy, diffusion) -> tuple[float, ...]:
-    """:func:`analytic_1d`'s (A, B, K, sigma = sqrt(Sigma), g, alpha) of a checked 1x1 system."""
-    return (float(plant.A[0, 0]), float(plant.B[0, 0]), float(policy.K[0, 0]),
-            float(np.sqrt(policy.Sigma[0, 0])), diffusion.g, diffusion.alpha)
+def _scalar_cells(plant, policy, diffusion, swept=()) -> tuple[np.ndarray, ...]:
+    """The columns (A, B, K, sigma, g, alpha, K', variance) of the scalar
+    system ``plant`` under ``policy`` and ``diffusion``: one cell, or one per
+    entry of the swept ``(name, column)`` pairs, each replacing its
+    parameter. sigma = sqrt(Sigma) and the variance is Sigma, except where a
+    ``sigma`` value s sets Sigma = s * s, or a ``kprime`` value k sets
+    sigma = g sqrt(alpha / k) and Sigma = sigma * sigma.
+
+    Refused: a plant that is not 1x1, a K that does not fit it, and, as
+    :func:`analytic_1d` refuses it, the first cell whose K' is not in
+    (0, inf); only such a cell can have a variance of 0 or inf.
+    """
+    if plant.n_states != 1 or plant.n_inputs != 1:
+        raise ParameterError(f"sweep and phase-plane require a scalar plant, got B {plant.B.shape}")
+    _check_fit(plant.B, policy.K)
+    cells = {"A": plant.A[0], "B": plant.B[0], "K": policy.K[0], "sigma": np.sqrt(policy.Sigma[0]),
+             "g": np.array([diffusion.g]), "alpha": np.array([diffusion.alpha]),
+             "variance": policy.Sigma[0]}
+    if swept:
+        size = swept[0][1].shape[0]
+        cells = {name: np.full(size, column[0]) for name, column in cells.items()}
+        with np.errstate(all="ignore"):  # a sigma or variance past the float range has a refused K'
+            for name, column in swept:
+                if name == "kprime":
+                    cells["sigma"] = cells["g"] * np.sqrt(cells["alpha"] / column)
+                else:
+                    cells[name] = column
+                if name in ("sigma", "kprime"):
+                    cells["variance"] = cells["sigma"] * cells["sigma"]
+    a, b, k, sigma, g, alpha, variance = cells.values()
+    return a, b, k, sigma, g, alpha, _effective_gain(sigma, g, alpha), variance
 
 
 def classify_table_row(
@@ -319,6 +351,9 @@ class AxisSpec:
             raise ParameterError(
                 f"unknown axis name {self.name!r}; expected one of {AXIS_NAMES}"
             )
+        for name in ("start", "stop"):
+            object.__setattr__(self, name, matrixkit.as_real(getattr(self, name), f"axis {name}"))
+        object.__setattr__(self, "steps", matrixkit.as_whole(self.steps, "axis steps"))
         if not (1 <= self.steps <= _MAX_AXIS_STEPS):
             raise ParameterError(
                 f"axis steps must be in [1, {_MAX_AXIS_STEPS}], got {self.steps}"
@@ -401,10 +436,10 @@ def sweep_region(
 ) -> SweepGrid:
     """Evaluate a 2-D grid of the scalar system ``plant`` under ``policy``
     and ``diffusion``, row-major over (axis1, axis2), as columns. A cell is
-    that system with the swept parameters replaced: a ``sigma`` value s sets
-    Sigma = s * s, and a ``kprime`` value k sets sigma = g sqrt(alpha / k)
-    and Sigma = sigma * sigma; elsewhere Sigma stays, and the analytic
-    verdict reads sigma = sqrt(Sigma), as :func:`analytic_verdict` does.
+    that system with the swept parameters replaced, built by
+    :func:`_scalar_cells` as ``analyze`` and ``phase-plane --kprime`` build
+    theirs, so its analytic verdict is the one :func:`analytic_verdict`
+    gives its system.
 
     With ``empirical``, every cell also gets the verdict ``classify_empirical``
     gives the deterministic per-step ``simulate`` run of its system,
@@ -413,13 +448,10 @@ def sweep_region(
     and ignore its mode and seed: no run draws noise, and no drift or
     inner-loop setting applies.
 
-    A cell that a one-cell evaluation refuses (``analytic_1d``, or with
-    ``empirical`` the cell's policy) raises that evaluation's error; the
-    first such cell in row-major order is reported.
+    A cell whose K' = g^2 alpha / sigma^2 is not in (0, inf) is refused
+    with the error :func:`analytic_1d` raises for it; the first such cell
+    in row-major order is reported.
     """
-    if plant.n_states != 1 or plant.n_inputs != 1:
-        raise ParameterError("sweep requires a scalar plant")
-    _check_fit(plant.B, policy.K)
     names = {axis1.name, axis2.name}
     if len(names) == 1:
         raise ParameterError("sweep axes must name two different parameters")
@@ -430,27 +462,8 @@ def sweep_region(
         )
     column1 = np.repeat(axis1.values(), axis2.steps)
     column2 = np.tile(axis2.values(), axis1.steps)
-    reading = _scalar_reading(plant, policy, diffusion)  # in the order of the first six axes
-    params = {name: np.full(column1.shape, value) for name, value in zip(AXIS_NAMES, reading)}
-    with np.errstate(all="ignore"):
-        for name, column in ((axis1.name, column1), (axis2.name, column2)):
-            if name == "kprime":
-                params["sigma"] = params["g"] * np.sqrt(params["alpha"] / column)
-            else:
-                params[name] = column
-        a, b, k, sigma, g, alpha = params.values()
-        kprime = g * g * alpha / (sigma * sigma)
-        swept = names & {"sigma", "kprime"}  # a swept sigma sets Sigma = sigma * sigma
-        variance = sigma * sigma if swept else np.full(sigma.shape, policy.Sigma[0, 0])
-    # g and alpha are > 0; a sigma of 0 or inf gives K' = inf or 0
-    refused = ~((kprime > 0.0) & (kprime < math.inf))
-    if empirical:
-        # a 1 x 1 variance is positive definite iff it is finite and > 0
-        refused |= ~(np.isfinite(variance) & (variance > 0.0))
-    if refused.any():
-        index = int(refused.argmax())
-        _evaluate_cell(index, params, variance if empirical else None)
-        raise RuntimeError(f"sweep cell {index} is refused on the grid but accepted on its own")
+    swept = ((axis1.name, column1), (axis2.name, column2))
+    a, b, k, sigma, g, alpha, kprime, variance = _scalar_cells(plant, policy, diffusion, swept)
     verdicts = _scalar_verdicts(a, b, k, sigma, g, alpha, kprime)
     empirical_columns = ()  # label, rate and residual, in SweepGrid's field order
     if empirical:
@@ -459,10 +472,3 @@ def sweep_region(
             sim_config if sim_config is not None else DEFAULT_SWEEP_SIM,
         )
     return SweepGrid((axis1.steps, axis2.steps), column1, column2, verdicts, *empirical_columns)
-
-
-def _evaluate_cell(index: int, params: dict, variance: np.ndarray | None):
-    """The one-cell evaluation of refused cell ``index``, which raises its error."""
-    analytic_1d(**{name: column[index] for name, column in params.items()})
-    if variance is not None:
-        ExpertPolicy(K=[[params["K"][index]]], Sigma=[[variance[index]]])

@@ -708,6 +708,26 @@ class TestPolicyFitsPlant:
         assert not out.exists()
 
 
+class TestNonFiniteDiffusion:
+    """A JSON ``Infinity`` for g, alpha or dt_inner is refused by name when
+    the config is read, by every command alike."""
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("section, key, message", [
+        ("diffusion", "g", "diffusion: diffusion coefficient g must be finite, got inf"),
+        ("diffusion", "alpha", "diffusion: time-scale ratio alpha must be finite, got inf"),
+        ("coupling", "dt_inner", "coupling: dt_inner must be finite, got inf"),
+    ], ids=["g", "alpha", "dt_inner"])
+    def test_infinity_is_refused(self, tmp_path, capsys, command, section, key, message):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[section][key] = math.inf
+        out = tmp_path / "traj.csv"
+        argv = ["-o", str(out)] if command == "simulate" else []
+        code = cli.main([command, "-c", write_config(tmp_path, doc), *argv])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; a sequence of calls in
     one process must print and write what each call does in a fresh one."""
@@ -872,7 +892,7 @@ class TestOutputBytes:
 
 class TestNonFiniteStepMaps:
     """A step map that overflows is a blow-up, reported without numpy's
-    warnings; a kprime with no finite positive policy variance is refused."""
+    warnings; a kprime whose K' is not finite and > 0 is refused."""
 
     def test_simulate_with_tiny_variance(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_DOC))
@@ -898,13 +918,59 @@ class TestNonFiniteStepMaps:
         assert cli.main(argv) == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("kprime", ["inf", "1e-320"])
-    def test_kprime_without_finite_variance_is_refused(self, tmp_path, capsys, kprime):
+    @pytest.mark.parametrize("kprime, message", [
+        # sigma = 0, so sigma^2 = 0; sigma = 1e160, so K' = 1 / inf = 0
+        ("inf", "effective gain g^2 alpha / sigma^2 overflows at sigma=0.0, g=1.0, alpha=1.0"),
+        ("1e-320", "effective gain must be > 0, got 0.0"),
+    ], ids=["inf", "1e-320"])
+    def test_kprime_without_finite_variance_is_refused(self, tmp_path, capsys, kprime, message):
         cfg = write_config(tmp_path, BASE_DOC)
         argv = ["phase-plane", "-c", cfg, "--kprime", kprime, "-o", str(tmp_path / "p.csv")]
         assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --kprime ") and "finite and > 0" in err
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "p.csv").exists()
+
+
+class TestPhasePlaneCellsAreSweepCells:
+    """``phase-plane --kprime`` builds and refuses its cells as a kprime
+    sweep axis does: one scalar-plant refusal and one K' refusal."""
+
+    @staticmethod
+    def refusal(tmp_path, capsys, doc, command, kprime):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out.csv"
+        argv = {
+            "sweep": ["--axis1", f"kprime:{kprime}:1:2", "--axis2", "A:1:2:2"],
+            "phase-plane": ["--kprime", kprime],
+        }[command]
+        code = cli.main([command, "-c", cfg, *argv, "-o", str(out)])
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        return code, captured.err
+
+    def test_tiny_kprime_is_refused_alike(self, tmp_path, capsys):
+        sweep = self.refusal(tmp_path, capsys, BASE_DOC, "sweep", "1e-320")
+        phase = self.refusal(tmp_path, capsys, BASE_DOC, "phase-plane", "1e-320")
+        assert sweep == phase == (2, "error: effective gain must be > 0, got 0.0\n")
+
+    def test_non_scalar_plant_is_refused_alike(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["plant"] = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
+        doc["policy"] = {"K": [[1.0, 0.0], [0.0, 1.0]], "sigma": 0.5}
+        doc["coupling"].update(e0=[1.0, 1.0], u0=[0.0, 0.0])
+        sweep = self.refusal(tmp_path, capsys, doc, "sweep", "1")
+        phase = self.refusal(tmp_path, capsys, doc, "phase-plane", "1")
+        assert sweep == phase == (2, "error: sweep and phase-plane require a scalar plant, "
+                                     "got B (2, 2)\n")
+
+    def test_overflowing_kprime_cell_is_refused_alike(self, tmp_path, capsys):
+        # sigma = 1e200 sqrt(1 / 1e300) = 1e50, and g^2 = 1e400 overflows
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["diffusion"]["g"] = 1e200
+        want = (2, "error: effective gain g^2 alpha / sigma^2 overflows at sigma=1e+50, "
+                   "g=1e+200, alpha=1.0\n")
+        assert self.refusal(tmp_path, capsys, doc, "phase-plane", "1e300") == want
+        assert self.refusal(tmp_path, capsys, doc, "sweep", "1e300") == want
 
 
 class TestOverflowRefusals:

@@ -203,6 +203,21 @@ CASES = {
                                       "sigma=1e-200, g=1.0, alpha=1.0")),
     "scalar-gain-underflows": (lambda: sk.analytic_1d(0.5, 1.0, 2.0, 1e100, 1e-200, 1.0),
                                ParameterError, exactly("effective gain must be > 0, got 0.0")),
+    # DiffusionParams and CouplingConfig: an infinity is refused by name
+    "diffusion-infinite-g": (lambda: sk.DiffusionParams(g=math.inf, alpha=1.0), NonFiniteError,
+                             exactly("diffusion coefficient g must be finite, got inf")),
+    "diffusion-infinite-alpha": (lambda: sk.DiffusionParams(g=1.0, alpha=math.inf),
+                                 NonFiniteError,
+                                 exactly("time-scale ratio alpha must be finite, got inf")),
+    "coupling-infinite-dt-inner": (lambda: sk.CouplingConfig(mode="inner-loop", dt=0.01,
+                                                             horizon=1.0, e0=[1.0], u0=[0.0],
+                                                             dt_inner=math.inf),
+                                   NonFiniteError, exactly("dt_inner must be finite, got inf")),
+    # AxisSpec: bounds are reals and steps whole, as CouplingConfig's are
+    "axis-bool-start": (lambda: sk.AxisSpec("A", True, 1, 2), ParameterError,
+                        exactly("axis start must be a number, got True")),
+    "axis-fractional-steps": (lambda: sk.AxisSpec("A", 0, 1, 2.5), ParameterError,
+                              exactly("axis steps must be a whole number, got 2.5")),
     # matrixkit: the symmetry contract and the Cholesky factor
     "symmetric-bool": (lambda: mk.check_symmetric(BOOL, "S"), ParameterError,
                        exactly("S must hold numbers, got True")),
