@@ -238,9 +238,9 @@ def _resolve_output(args_value, config: RunConfig, key: str) -> str:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config, require=("plant", "policy", "diffusion", "coupling"))
     trajectory = simulate(config.plant, config.policy, config.diffusion, config.coupling)
+    verdict = classify_empirical(trajectory)  # a run it refuses leaves no artifact
     out_path = _resolve_output(args.output, config, "trajectory")
     _write_atomic(out_path, _config_echo_csv(config) + trajectory_to_csv(trajectory))
-    verdict = classify_empirical(trajectory)
     print(json.dumps(_empirical_dict(verdict), sort_keys=True))
     return 0
 
@@ -260,7 +260,7 @@ def _parse_axis_flag(text: str) -> AxisSpec:
         )
     name, lo, hi, steps = parts
     try:
-        start, stop, count = float(lo), float(hi), int(steps)
+        start, stop, count = float(lo), float(hi), float(steps)  # AxisSpec judges the count
     except ValueError as exc:
         raise ParameterError(f"bad axis spec {text!r}: {exc}") from exc
     return AxisSpec(name=name, start=start, stop=stop, steps=count)
@@ -269,14 +269,13 @@ def _parse_axis_flag(text: str) -> AxisSpec:
 def cmd_sweep(args) -> int:
     if args.jobs < 0:
         raise ParameterError(f"--jobs must be >= 0, got {args.jobs}")
-    config = _load_config(args.config, require=("plant", "policy", "diffusion"))
+    empirical = ("coupling",) if args.empirical else ()
+    config = _load_config(args.config, require=("plant", "policy", "diffusion", *empirical))
     axis1 = _parse_axis_flag(args.axis1)
     axis2 = _parse_axis_flag(args.axis2)
+    run = config.coupling if empirical else None
     try:
-        grid = sweep_region(
-            config.plant, config.policy, config.diffusion, axis1, axis2,
-            empirical=bool(args.empirical), sim_config=config.coupling,
-        )
+        grid = sweep_region(config.plant, config.policy, config.diffusion, axis1, axis2, run)
 
         columns = [grid.axis1, grid.axis2, grid.analytic.label, grid.analytic.min_margin]
         if grid.empirical_label is not None:
@@ -404,9 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument(
         "--empirical",
         action="store_true",
-        help="also simulate every cell: a deterministic per-step run with the config's dt, "
-        "horizon, e0, u0 and record_stride; the coupling mode and seed and the diffusion's "
-        "stochastic, drift and inner_steps are ignored",
+        help="also simulate every cell, which needs a coupling section: a deterministic "
+        "per-step run with the config's dt, horizon, e0, u0 and record_stride; the coupling "
+        "mode and seed and the diffusion's stochastic, drift and inner_steps are ignored",
     )
     p_sw.add_argument("--jobs", type=int, default=0, help="ignored; kept for compatibility")
     p_sw.set_defaults(func=cmd_sweep)

@@ -205,9 +205,10 @@ def simulate_scalar_grid(a, b, k, variance, g, alpha, config: CouplingConfig):
     keeps the samples of its own run, so the verdicts are exact.
     """
     _check_start(config, 1, 1)
+    with np.errstate(over="ignore"):  # a subnormal variance has Sigma^-1 = inf, as in simulate
+        sigma_inv = _column(1.0 / variance)
     step_mat, step_off, _ = _step_maps(
-        CouplingMode.PER_STEP, _column(a), _column(b), _column(k), _column(1.0 / variance),
-        config.dt, g, alpha,
+        CouplingMode.PER_STEP, _column(a), _column(b), _column(k), sigma_inv, config.dt, g, alpha
     )
     # A row holds the norms of its trailing samples and, per power of its
     # 3 x 3 homogeneous map in the table, that power and one sample; a batch

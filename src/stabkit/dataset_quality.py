@@ -65,15 +65,13 @@ class QualityReport:
 
     ``sigma_threshold`` is the admissible demonstration standard deviation
     for scalar or isotropic readings, or None when the plant response puts
-    no bound on it. ``margin`` is the minimum slack across the verdict's
-    conditions.
+    no bound on it.
     """
 
     k_hat: np.ndarray
     sigma_hat: np.ndarray
     verdict: StabilityVerdict
     sigma_threshold: float | None
-    margin: float
 
 
 def _parse_header(fields: list[str]) -> tuple[int, int]:
@@ -246,19 +244,18 @@ def quality_report(
         sigma_hat=sigma_hat,
         verdict=verdict,
         sigma_threshold=threshold,
-        margin=verdict.min_margin,
     )
 
 
 def generate_demonstrations(K, Sigma, n_records: int, rng: RngStream) -> DemonstrationSet:
     """Synthetic demonstrations u = -K e + eta with eta ~ N(0, Sigma) and
-    e ~ N(0, I). Ground-truth fixture for the estimators."""
+    e ~ N(0, I); ``ExpertPolicy`` checks K and Sigma. Ground-truth fixture
+    for the estimators."""
     if n_records < 1:
         raise ParameterError(f"n_records must be >= 1, got {n_records}")
-    k = matrixkit.as_matrix(K, "K")
-    lower = matrixkit.cholesky(Sigma)
-    m, n = k.shape
-    states = rng.standard_normal((n_records, n))
-    noise = rng.standard_normal((n_records, m)) @ lower.T
-    actions = -(states @ k.T) + noise
+    policy = ExpertPolicy(K=K, Sigma=Sigma)
+    lower = np.linalg.cholesky(policy.Sigma)
+    states = rng.standard_normal((n_records, policy.n_states))
+    noise = rng.standard_normal((n_records, policy.n_actions)) @ lower.T
+    actions = -(states @ policy.K.T) + noise
     return DemonstrationSet(states=states, actions=actions)

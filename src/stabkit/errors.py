@@ -23,10 +23,6 @@ class SingularMatrixError(StabkitError, ValueError):
     """A matrix is singular to working precision."""
 
 
-class NotPositiveDefiniteError(StabkitError, ValueError):
-    """A matrix required to be positive definite is not."""
-
-
 class ParameterError(StabkitError, ValueError):
     """A scalar or structural parameter violates its precondition."""
 

@@ -1,15 +1,15 @@
-"""Dense linear algebra for small matrices (intended for N <= ~16).
-
-LAPACK, through ``numpy.linalg``, computes the Cholesky factor and
-singular values; this module keeps the contracts around them: the relative
-symmetry tolerance, the relative positive-definite pivot rule, and the
-singularity rule that a plant's B and a policy's Sigma must pass before
-their inverses are taken, which refuses a matrix whose smallest singular
-value is at most ``PIVOT_RTOL`` times its largest entry magnitude. All
-operations are pure functions on immutable values.
+"""The type rules and matrix contracts every numeric field in the package
+goes through (intended for N <= ~16).
 
 The coercions :func:`as_real`, :func:`as_whole`, :func:`as_matrix` and
-:func:`as_vector` hold the type rules of every numeric field in the package.
+:func:`as_vector` hold the type rules. The matrix contracts are the relative
+symmetry tolerance of :func:`check_symmetric`, the relative
+positive-definite pivot rule that a policy's Sigma must pass, and the
+singularity rule that a plant's B and a policy's Sigma must pass before
+their inverses are taken, which refuses a matrix whose smallest singular
+value is at most ``PIVOT_RTOL`` times its largest entry magnitude. LAPACK,
+through ``numpy.linalg``, does the arithmetic. All operations are pure
+functions on immutable values.
 
 Validation rule: public functions and dataclass constructors validate their
 inputs, with the error messages of their contract; ``_`` kernels trust
@@ -27,7 +27,6 @@ from .errors import (
     AsymmetricMatrixError,
     DimensionError,
     NonFiniteError,
-    NotPositiveDefiniteError,
     ParameterError,
     SingularMatrixError,
 )
@@ -148,16 +147,6 @@ def _check_square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def symmetric_part(m) -> np.ndarray:
-    """Return (M + M^T)/2 for a square matrix.
-
-    IEEE addition is commutative, so the result is exactly symmetric
-    entry-for-entry; symmetric inputs are returned unchanged in value and
-    the operation is exactly idempotent.
-    """
-    return _symmetric(require_square(m))
-
-
 @np.errstate(over="ignore")
 def _symmetric(s: np.ndarray) -> np.ndarray:
     """``0.5 * (S + S^T)`` of a square matrix, or of each in a stack, bit for
@@ -185,37 +174,16 @@ def check_symmetric(s, name: str = "matrix") -> np.ndarray:
     return _symmetric(s)
 
 
-def _cholesky_pivots(s: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of symmetric ``s``, or None if any pivot is at
-    most ``PD_RTOL`` times the largest diagonal magnitude.
-
-    The pivots are the squared diagonal of the factor; LAPACK stops at the
-    first non-positive one, and the rest are checked against the rule.
-    """
+def _require_positive_definite(s: np.ndarray, name: str):
+    """ParameterError unless symmetric ``s`` passes the pivot rule: each
+    pivot, a squared diagonal entry of the Cholesky factor, exceeds
+    ``PD_RTOL`` times the largest diagonal magnitude."""
     try:
-        lower = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        return None
-    if not (lower.diagonal() ** 2 > PD_RTOL * float(np.abs(s.diagonal()).max())).all():
-        return None
-    return lower
-
-
-def _require_positive_definite(s: np.ndarray, name: str) -> np.ndarray:
-    """Symmetric ``s``; ParameterError unless it passes the pivot rule."""
-    if _cholesky_pivots(s) is None:
+        pivots = np.linalg.cholesky(s).diagonal() ** 2
+    except np.linalg.LinAlgError:  # LAPACK stopped at a pivot that is not > 0
+        pivots = np.zeros(1)
+    if not (pivots > PD_RTOL * float(np.abs(s.diagonal()).max())).all():
         raise ParameterError(f"{name} must be positive definite")
-    return s
-
-
-def cholesky(s) -> np.ndarray:
-    """Lower Cholesky factor L with S = L L^T; raises when S is not positive
-    definite: when a pivot is at most ``PD_RTOL`` times the largest diagonal
-    magnitude, so exact zero and semidefinite matrices are refused."""
-    lower = _cholesky_pivots(check_symmetric(s, "cholesky input"))
-    if lower is None:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    return lower
 
 
 def _nonsingular(m: np.ndarray) -> np.ndarray:

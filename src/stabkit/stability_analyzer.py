@@ -24,11 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixkit
-from .coupled_sim import (
-    CouplingConfig,
-    CouplingMode,
-    simulate_scalar_grid,
-)
+from .coupled_sim import CouplingConfig, simulate_scalar_grid
 from .diffusion_controller import DiffusionParams
 from .errors import DimensionError, NonFiniteError, ParameterError
 from .plant import ExpertPolicy, PlantModel, _check_fit
@@ -104,11 +100,12 @@ def analytic_1d(
     and (when A > 0) the variance slack g sqrt(alpha / A) - sigma. The two
     gain-side margins express the same condition in different units; for
     A <= 0 that condition is vacuous and only the closed-loop margin decides
-    the label.
+    the label. Each argument must be a real number, as ``matrixkit.as_real``
+    takes it.
     """
-    sigma, g, alpha = float(sigma), float(g), float(alpha)
+    named = {"A": A, "B": B, "K": K, "sigma": sigma, "g": g, "alpha": alpha}
+    a, b, k, sigma, g, alpha = (matrixkit.as_real(value, name) for name, value in named.items())
     matrixkit._check_positive(sigma=sigma, g=g, alpha=alpha)
-    a, b, k = float(A), float(B), float(K)
     for name, value in (("A", a), ("B", b), ("K", k)):
         if not math.isfinite(value):
             raise NonFiniteError(f"{name} must be finite, got {value}")
@@ -191,11 +188,8 @@ def _scalar_verdicts(a, b, k, sigma, g, alpha, kprime):
     # min() over the margins in order: a later margin wins only when smaller
     smallest = np.where(margin_kp < margin_cl, margin_kp, margin_cl)
     smallest = np.where(live & (margin_sigma < smallest), margin_sigma, smallest)
-    return VerdictColumns(
-        label=label,
-        min_margin=smallest,
-        margins={"closed_loop": margin_cl, "kprime": margin_kp, "sigma": margin_sigma},
-    )
+    margins = {"closed_loop": margin_cl, "kprime": margin_kp, "sigma": margin_sigma}
+    return VerdictColumns(label, smallest, margins)
 
 
 def second_order_coefficients(A, B, K, Sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -375,16 +369,6 @@ class AxisSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-DEFAULT_SWEEP_SIM = CouplingConfig(
-    mode=CouplingMode.PER_STEP,
-    dt=1e-3,
-    horizon=20.0,
-    e0=(1.0,),
-    u0=(0.0,),
-    seed=0,
-)
-
-
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """A swept grid as columns, one entry per cell, row-major over
@@ -430,9 +414,7 @@ def sweep_region(
     diffusion: DiffusionParams,
     axis1: AxisSpec,
     axis2: AxisSpec,
-    *,
-    empirical: bool = False,
-    sim_config: CouplingConfig | None = None,
+    run: CouplingConfig | None = None,
 ) -> SweepGrid:
     """Evaluate a 2-D grid of the scalar system ``plant`` under ``policy``
     and ``diffusion``, row-major over (axis1, axis2), as columns. A cell is
@@ -441,12 +423,12 @@ def sweep_region(
     theirs, so its analytic verdict is the one :func:`analytic_verdict`
     gives its system.
 
-    With ``empirical``, every cell also gets the verdict ``classify_empirical``
-    gives the deterministic per-step ``simulate`` run of its system,
-    computed as columns by :func:`~stabkit.coupled_sim.simulate_scalar_grid`.
-    The runs take dt, horizon, e0, u0 and record_stride from ``sim_config``
-    and ignore its mode and seed: no run draws noise, and no drift or
-    inner-loop setting applies.
+    Given a ``run``, the sweep is empirical: every cell also gets the
+    verdict ``classify_empirical`` gives the deterministic per-step
+    ``simulate`` run of its system, computed as columns by
+    :func:`~stabkit.coupled_sim.simulate_scalar_grid`. The runs take dt,
+    horizon, e0, u0 and record_stride from ``run`` and ignore its mode and
+    seed: no run draws noise, and no drift or inner-loop setting applies.
 
     A cell whose K' = g^2 alpha / sigma^2 is not in (0, inf) is refused
     with the error :func:`analytic_1d` raises for it; the first such cell
@@ -466,9 +448,6 @@ def sweep_region(
     a, b, k, sigma, g, alpha, kprime, variance = _scalar_cells(plant, policy, diffusion, swept)
     verdicts = _scalar_verdicts(a, b, k, sigma, g, alpha, kprime)
     empirical_columns = ()  # label, rate and residual, in SweepGrid's field order
-    if empirical:
-        empirical_columns = simulate_scalar_grid(
-            a, b, k, variance, g, alpha,
-            sim_config if sim_config is not None else DEFAULT_SWEEP_SIM,
-        )
+    if run is not None:
+        empirical_columns = simulate_scalar_grid(a, b, k, variance, g, alpha, run)
     return SweepGrid((axis1.steps, axis2.steps), column1, column2, verdicts, *empirical_columns)

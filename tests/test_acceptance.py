@@ -14,7 +14,7 @@ from scipy import stats
 
 import stabkit as sk
 from stabkit import cli
-from stabkit.matrixkit import symmetric_part
+from stabkit.matrixkit import _symmetric
 from helpers import (
     coupled_eigenvalues,
     draw_measurable_scalar_system,
@@ -216,7 +216,7 @@ def _draw_ndim_stable_system(rng):
         verdict = sk.analytic_ndim(a, b, k, cov, 1.0, 1.0)
         if verdict.label != "stable":
             continue
-        precision = symmetric_part(sk.ExpertPolicy(K=k, Sigma=cov).sigma_inv)
+        precision = _symmetric(sk.ExpertPolicy(K=k, Sigma=cov).sigma_inv)
         lam_max_p = float(np.linalg.eigvalsh(precision)[-1])
         if verdict.margins["gain_vs_plant"] < 0.05:
             continue
@@ -267,8 +267,8 @@ def test_criterion_5_ndim_sufficiency():
         alpha = float(iso_rng.uniform(0.5, 2.0))
         verdict = sk.analytic_ndim(a, b, k, sigma**2 * np.eye(n), g, alpha)
         kprime = g * g * alpha / sigma**2
-        lam_s1 = float(np.linalg.eigvalsh(symmetric_part(a))[-1])
-        lam_s2 = float(np.linalg.eigvalsh(symmetric_part(a - b @ k))[-1])
+        lam_s1 = float(np.linalg.eigvalsh(_symmetric(a))[-1])
+        lam_s2 = float(np.linalg.eigvalsh(_symmetric(a - b @ k))[-1])
         want_gain = kprime > lam_s1
         want_cl = lam_s2 < 0
         if verdict.conditions["gain_exceeds_plant_response"] != want_gain:

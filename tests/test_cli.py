@@ -56,6 +56,17 @@ class TestSimulate:
         assert text.startswith("# config=")
         assert text.splitlines()[1] == "t,e_1,u_1"
 
+    def test_refused_classification_leaves_no_artifact(self, tmp_path, capsys):
+        # a stride of 10 over 10 steps records 2 samples, too few to classify
+        doc = {"plant": {"A": -1, "B": 1}, "policy": {"K": 1, "sigma": 0.5},
+               "coupling": {"mode": "per-step", "dt": 0.1, "horizon": 1, "e0": [1],
+                            "record_stride": 10}}
+        out = tmp_path / "out.csv"
+        assert cli.main(["simulate", "-c", write_config(tmp_path, doc), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: classification needs at least 10 recorded samples, got 2\n")
+        assert not out.exists()
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert cli.main(["simulate", "-c", str(tmp_path / "nope.json"), "-o", "x.csv"]) == 1
         assert "error" in capsys.readouterr().err
@@ -247,6 +258,24 @@ class TestSweep:
         )
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # echo + header + one cell
+
+    def test_whole_valued_float_steps_are_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_DOC)
+        outputs = []
+        for steps in ("2", "2.0"):
+            out = tmp_path / f"steps-{steps}.csv"
+            assert cli.main(["sweep", "-c", cfg, "--axis1", f"A:0:1:{steps}",
+                             "--axis2", "kprime:1:2:2", "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 2 + 2 * 2
+
+    def test_fractional_steps_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main(["sweep", "-c", write_config(tmp_path, BASE_DOC), "--axis1", "A:0:1:2.5",
+                         "--axis2", "kprime:1:2:2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: axis steps must be a whole number, got 2.5\n"
+        assert not out.exists()
 
     def test_unknown_axis(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_DOC)
@@ -676,6 +705,33 @@ class TestSweepRefusals:
         assert capsys.readouterr().err == "error: a 3 x 4 sweep grid is more than memory holds\n"
         assert not out.exists()
 
+    def test_empirical_sweep_needs_a_coupling_section(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        del doc["coupling"]
+        out = tmp_path / "r.csv"
+        assert cli.main(
+            ["sweep", "-c", write_config(tmp_path, doc), "--axis1", "A:1:2:2",
+             "--axis2", "K:1:2:2", "-o", str(out), "--empirical"]
+        ) == 2
+        assert capsys.readouterr().err == "error: missing config section 'coupling'\n"
+        assert not out.exists()
+
+    def test_subnormal_variance_cell_runs_without_a_warning(self, tmp_path, capsys):
+        # K' = 1e290 at g = 1e-10 gives sigma ~ 1e-155 and a subnormal variance,
+        # whose inverse is inf; the per-step run diverges, as simulate's does
+        doc = {"plant": {"A": 2, "B": 1}, "policy": {"K": 3, "sigma": 0.5},
+               "diffusion": {"g": 1e-10, "alpha": 1},
+               "coupling": {"mode": "per-step", "dt": 0.01, "horizon": 2, "e0": [1]}}
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(
+                ["sweep", "-c", write_config(tmp_path, doc), "--axis1", "kprime:1e290:1e290:1",
+                 "--axis2", "A:2:2:1", "-o", str(out), "--empirical"]
+            ) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[2].endswith(",unstable,inf")
+
     def test_empirical_sweep_checks_start_length(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["coupling"]["e0"] = [1.0, 2.0]
@@ -778,7 +834,7 @@ def sweep_grid(doc, axis1, axis2, empirical):
     config = cli.parse_run_config(doc, require=("plant", "policy", "diffusion"))
     return sweep_region(config.plant, config.policy, config.diffusion,
                         cli._parse_axis_flag(axis1), cli._parse_axis_flag(axis2),
-                        empirical=empirical, sim_config=config.coupling)
+                        config.coupling if empirical else None)
 
 
 class TestSweepCellIsItsConfig:

@@ -173,7 +173,7 @@ class TestQualityReport:
         report = quality_report(self.PLANT, self.make_demos(0.4), 1.0, 1.0)
         assert report.verdict.label == "stable"
         assert report.sigma_threshold == pytest.approx(0.5)
-        assert report.margin > 0
+        assert report.verdict.min_margin > 0
         assert abs(report.k_hat[0, 0] - 5.0) < 0.05
 
     def test_unstable_dataset(self):
@@ -246,6 +246,18 @@ class TestQualityReport:
             quality_report(self.PLANT, generate_demonstrations(
                 np.eye(2), np.eye(2), 100, RngStream(1)
             ), 1.0, 1.0)
+
+
+class TestGenerateDemonstrations:
+    def test_gain_that_does_not_fit_sigma_is_refused(self):
+        # a 1 x 2 gain draws one action per record, but Sigma is 2 x 2
+        with pytest.raises(DimensionError) as info:
+            generate_demonstrations([[1.0, 2.0]], np.eye(2), 10, RngStream(0))
+        assert str(info.value) == "policy Sigma must be 1x1 to match K, got (2, 2)"
+
+    def test_sigma_is_refused_as_the_policy_refuses_it(self):
+        with pytest.raises(ParameterError, match="^policy Sigma must be positive definite$"):
+            generate_demonstrations(np.eye(2), [[1.0, 2.0], [2.0, 1.0]], 10, RngStream(0))
 
 
 def _per_line_values(text, width):

@@ -4,13 +4,18 @@ import re
 import numpy as np
 import pytest
 
-from stabkit import ExpertPolicy, analytic_ndim, second_order_coefficients
+from stabkit import (
+    ExpertPolicy,
+    RngStream,
+    analytic_ndim,
+    generate_demonstrations,
+    second_order_coefficients,
+)
 from stabkit import matrixkit as mk
 from stabkit.errors import (
     AsymmetricMatrixError,
     DimensionError,
     NonFiniteError,
-    NotPositiveDefiniteError,
     ParameterError,
     SingularMatrixError,
 )
@@ -71,32 +76,38 @@ class TestCoercions:
 
 
 class TestSymmetricPart:
+    """``_symmetric`` forms (S + S^T)/2; ``check_symmetric`` is its checked
+    entry."""
+
     def test_identity_fixed_point(self):
-        assert np.array_equal(mk.symmetric_part(np.eye(3)), np.eye(3))
+        assert np.array_equal(mk._symmetric(np.eye(3)), np.eye(3))
+        assert np.array_equal(mk.check_symmetric(np.eye(3)), np.eye(3))
 
     def test_forced_by_definition(self):
-        out = mk.symmetric_part([[0.0, 2.0], [0.0, 0.0]])
+        out = mk._symmetric(np.array([[0.0, 2.0], [0.0, 0.0]]))
         assert np.array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_symmetric_inputs_unchanged(self):
         s = np.array([[2.0, -1.5], [-1.5, 4.0]])
-        assert np.array_equal(mk.symmetric_part(s), s)
+        assert np.array_equal(mk._symmetric(s), s)
+        assert np.array_equal(mk.check_symmetric(s), s)
 
     def test_idempotent_and_exactly_symmetric(self):
         for _ in range(50):
             n = int(RNG.integers(1, 9))
             m = RNG.normal(size=(n, n)) * 10.0 ** RNG.integers(-3, 4)
-            s = mk.symmetric_part(m)
+            s = mk._symmetric(m)
             assert np.array_equal(s, s.T)
-            assert np.array_equal(mk.symmetric_part(s), s)
+            assert np.array_equal(mk._symmetric(s), s)
+            assert np.array_equal(mk.check_symmetric(s), s)
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            mk.symmetric_part(np.zeros((2, 3)))
+            mk.check_symmetric(np.zeros((2, 3)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
-            mk.symmetric_part([[np.nan, 0.0], [0.0, 0.0]])
+            mk.check_symmetric([[np.nan, 0.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("low, high", [(-3, 3), (-323, -307), (-323, 307)])
     def test_plain_formula_bit_for_bit_where_the_sum_is_finite(self, low, high):
@@ -107,13 +118,13 @@ class TestSymmetricPart:
             s = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(low, high, size=(n, n))
             want = 0.5 * (s + s.T)
             assert np.isfinite(want).all()
-            assert mk.symmetric_part(s).tobytes() == want.tobytes()
+            assert mk._symmetric(s).tobytes() == want.tobytes()
             assert mk.check_symmetric(want).tobytes() == want.tobytes()
 
     def test_halves_first_where_the_sum_overflows(self):
         s = np.array([[1.5e308, 1e308], [1.2e308, -1.0]])
         half = 0.5 * 1e308 + 0.5 * 1.2e308
-        assert np.array_equal(mk.symmetric_part(s), [[1.5e308, half], [half, -1.0]])
+        assert np.array_equal(mk._symmetric(s), [[1.5e308, half], [half, -1.0]])
 
     def test_check_symmetric_where_the_sum_overflows(self):
         s = np.array([[1.5e308, 0.0], [0.0, 1.0]])
@@ -168,7 +179,7 @@ class TestVerdictEigenvalues:
             a, k = RNG.normal(size=(n, n)), RNG.normal(size=(n, n))
             b = RNG.normal(size=(n, n)) + n * np.eye(n)
             root = RNG.normal(size=(n, n))
-            sigma = mk.symmetric_part(root @ root.T + n * np.eye(n))
+            sigma = mk._symmetric(root @ root.T + n * np.eye(n))
             g, alpha = RNG.uniform(0.5, 2.0, size=2)
             gain, cl, _ = _ndim_margins(a, k, sigma, b=b, g=g, alpha=alpha)
             want = _oracle_margins(a, b, k, sigma, g, alpha)
@@ -179,7 +190,7 @@ class TestVerdictEigenvalues:
         rng = np.random.default_rng(16)
         for _ in range(10):
             a, k = rng.normal(size=(16, 16)) * 5, rng.normal(size=(16, 16))
-            sigma = mk.symmetric_part(np.diag(rng.uniform(0.5, 2.0, size=16)))
+            sigma = mk._symmetric(np.diag(rng.uniform(0.5, 2.0, size=16)))
             gain, cl, _ = _ndim_margins(a, k, sigma)
             want = _oracle_margins(a, np.eye(16), k, sigma, 1.0, 1.0)
             assert np.allclose([gain, cl], want, rtol=0.0, atol=1e-10 * max(np.abs(want)))
@@ -219,24 +230,28 @@ class TestIsPositiveDefinite:
     def test_agrees_with_min_eigenvalue(self):
         for _ in range(100):
             n = int(RNG.integers(1, 9))
-            s = mk.symmetric_part(RNG.normal(size=(n, n)))
+            s = mk._symmetric(RNG.normal(size=(n, n)))
             lam_min = np.linalg.eigvalsh(s)[0]
             deadband = 1e-10 * max(1.0, float(np.abs(np.diag(s)).max()))
             if abs(lam_min) <= deadband:
                 continue
             assert _policy_accepts(s) == (lam_min > 0)
 
-    def test_cholesky_round_trip(self):
-        for _ in range(20):
+    def test_demonstrations_draw_through_the_factor_of_sigma(self):
+        # generate_demonstrations factors the Sigma the policy accepted, whose
+        # Cholesky factor gives it back
+        for seed in range(20):
             n = int(RNG.integers(1, 9))
-            a = RNG.normal(size=(n, n))
+            a, k = RNG.normal(size=(n, n)), RNG.normal(size=(n, n))
             s = a @ a.T + n * np.eye(n)
-            lower = mk.cholesky(s)
+            lower = np.linalg.cholesky(ExpertPolicy(K=k, Sigma=s).Sigma)
             assert np.allclose(lower @ lower.T, s, atol=1e-10 * n)
-
-    def test_cholesky_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            mk.cholesky([[1.0, 2.0], [2.0, 1.0]])
+            demos = generate_demonstrations(k, s, 3, RngStream(seed))
+            rng = RngStream(seed)
+            states = rng.standard_normal((3, n))
+            noise = rng.standard_normal((3, n)) @ lower.T
+            assert np.array_equal(demos.states, states)
+            assert np.array_equal(demos.actions, -(states @ k.T) + noise)
 
 
 class TestSingularityRule:
@@ -258,8 +273,8 @@ class TestSingularityRule:
         for _ in range(40):
             n = int(RNG.integers(1, 13))
             a = RNG.normal(size=(n, n))
-            s = mk.symmetric_part(a @ a.T + n * np.eye(n))
-            inv = mk.symmetric_part(ExpertPolicy(K=np.eye(n), Sigma=s).sigma_inv)
+            s = mk._symmetric(a @ a.T + n * np.eye(n))
+            inv = mk._symmetric(ExpertPolicy(K=np.eye(n), Sigma=s).sigma_inv)
             back = ExpertPolicy(K=np.eye(n), Sigma=inv).sigma_inv
             assert np.max(np.abs(back - s)) <= 1e-8 * np.max(np.abs(s))
 
@@ -287,11 +302,13 @@ class TestLapackContracts:
         # the same pivot ratios, 1e-11 and 1e-13, far from unit scale
         assert _policy_accepts(np.diag([1e-20, 1e-31]))
         assert not _policy_accepts(np.diag([1e20, 1e7]))
-        lower = mk.cholesky(np.diag([1e-20, 1e-31]))
-        assert np.allclose(lower @ lower.T, np.diag([1e-20, 1e-31]), rtol=1e-15, atol=0.0)
-        with pytest.raises(NotPositiveDefiniteError):
-            mk.cholesky(np.diag([1e20, 1e7]))
+        demos = generate_demonstrations(np.eye(2), np.diag([1e-20, 1e-31]), 4, RngStream(0))
+        assert demos.n_records == 4
+        with pytest.raises(ParameterError, match="^policy Sigma must be positive definite$"):
+            generate_demonstrations(np.eye(2), np.diag([1e20, 1e7]), 4, RngStream(0))
 
-    def test_cholesky_refuses_pivot_below_rule(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            mk.cholesky(np.diag([1.0, 1e-13]))
+    def test_pivot_below_rule_is_refused(self):
+        for refuse in (lambda s: ExpertPolicy(K=np.eye(2), Sigma=s),
+                       lambda s: generate_demonstrations(np.eye(2), s, 4, RngStream(0))):
+            with pytest.raises(ParameterError, match="^policy Sigma must be positive definite$"):
+                refuse(np.diag([1.0, 1e-13]))

@@ -18,10 +18,10 @@ from stabkit import (
     simulate,
     sweep_region,
 )
-from stabkit import coupled_sim, stability_analyzer
+from stabkit import coupled_sim
 from stabkit.errors import DimensionError, NonFiniteError, ParameterError, SingularMatrixError
 from stabkit.errors import StabkitError
-from stabkit.matrixkit import symmetric_part
+from stabkit.matrixkit import _symmetric
 
 RNG = np.random.default_rng(555)
 
@@ -203,8 +203,8 @@ class TestAnalyticNdim:
             alpha = float(rng.uniform(0.5, 2.0))
             verdict = analytic_ndim(a, b, k, sigma**2 * np.eye(n), g, alpha)
             kprime = g * g * alpha / sigma**2
-            lam_s1 = np.linalg.eigvalsh(symmetric_part(a))[-1]
-            lam_s2 = np.linalg.eigvalsh(symmetric_part(a - b @ k))[-1]
+            lam_s1 = np.linalg.eigvalsh(_symmetric(a))[-1]
+            lam_s2 = np.linalg.eigvalsh(_symmetric(a - b @ k))[-1]
             expected = "stable" if (kprime > lam_s1 and lam_s2 < 0) else "inconclusive"
             if min(abs(kprime - lam_s1), kprime * abs(lam_s2)) < 1e-6:
                 continue  # too close to the boundary to compare labels
@@ -304,6 +304,10 @@ class TestMonotoneSigmaFlip:
         assert labels[0] == "stable" and labels[-1] == "unstable"
 
 
+# a per-step run for the empirical sweeps that need no other
+RUN = CouplingConfig(mode="per-step", dt=1e-3, horizon=20.0, e0=[1.0], u0=[0.0], seed=0)
+
+
 def _sweep(base, axis1, axis2, **kwargs):
     """``sweep_region`` of the scalar system with ``base``'s parameters, whose
     policy holds Sigma = sigma * sigma."""
@@ -361,8 +365,7 @@ class TestSweepRegion:
                 base,
                 AxisSpec("B", 1.0, 1.0, 1),
                 AxisSpec("kprime", 0.3, 6.0, 12),
-                empirical=True,
-                sim_config=sim,
+                run=sim,
             )
             for kprime, analytic, empirical in zip(
                 grid.axis2.tolist(), grid.analytic.label.tolist(), grid.empirical_label.tolist()
@@ -385,7 +388,7 @@ class TestSweepRegion:
             record_stride=4,
         )
         axis1, axis2 = AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6)
-        grid = _sweep(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
+        grid = _sweep(self.BASE, axis1, axis2, run=sim)
         rates = []
         for index, (a_value, kprime) in enumerate(zip(grid.axis1.tolist(), grid.axis2.tolist())):
             sigma = math.sqrt(1.0 / kprime)  # g = alpha = 1
@@ -494,7 +497,7 @@ class TestNonFiniteEffectiveGain:
         with pytest.raises(ParameterError) as expected:
             analytic_1d(**_cell_params(self.BASE, axis1, axis2, 1e-160, 1.0))
         with pytest.raises(ParameterError) as caught:
-            _sweep(self.BASE, axis1, axis2, empirical=empirical)
+            _sweep(self.BASE, axis1, axis2, run=RUN if empirical else None)
         assert str(caught.value) == str(expected.value)
         assert "sigma=1e-160" in str(caught.value)
 
@@ -505,10 +508,10 @@ class TestNonFiniteEffectiveGain:
         axis1, axis2 = AxisSpec("sigma", 1.0, 1.2e154, 2), AxisSpec("K", 1.0, 2.0, 2)
         policy = ExpertPolicy(K=[[1.0]], Sigma=[[1.2e154 * 1.2e154]])
         assert policy.Sigma[0, 0] == 1.2e154 * 1.2e154
-        grid = _sweep(self.BASE, axis1, axis2, empirical=True)
+        grid = _sweep(self.BASE, axis1, axis2, run=RUN)
         run = classify_empirical(simulate(
             PlantModel(A=1.0, B=1.0), policy, DiffusionParams(g=1.0, alpha=1.0),
-            stability_analyzer.DEFAULT_SWEEP_SIM,
+            RUN,
         ))
         assert (grid.empirical_label[2], grid.empirical_rate[2]) == (run.label, run.rate)
 
@@ -524,20 +527,20 @@ class TestNonFiniteEffectiveGain:
             analytic_1d(**_cell_params(self.BASE, axis1, axis2, float(v1), 1.0))
         for empirical in (False, True):
             with pytest.raises(ParameterError) as caught:
-                _sweep(self.BASE, axis1, axis2, empirical=empirical)
+                _sweep(self.BASE, axis1, axis2, run=RUN if empirical else None)
             assert str(caught.value) == str(expected.value)
 
     def test_first_refused_cell_wins_over_a_later_overflow(self):
         axis1, axis2 = AxisSpec("sigma", 1e-160, 1e155, 2), AxisSpec("K", 1.0, 2.0, 2)
         with pytest.raises(ParameterError, match="sigma=1e-160"):
-            _sweep(self.BASE, axis1, axis2, empirical=True)
+            _sweep(self.BASE, axis1, axis2, run=RUN)
 
     def test_empirical_grid_checks_start_lengths(self):
         sim = CouplingConfig(mode="per-step", dt=1e-2, horizon=1.0, e0=[1.0, 2.0], u0=[0.0])
         with pytest.raises(DimensionError, match="e0 has length 2, plant expects 1"):
             _sweep(
                 self.BASE, AxisSpec("A", 0.5, 1.0, 2), AxisSpec("K", 1.0, 2.0, 2),
-                empirical=True, sim_config=sim,
+                run=sim,
             )
 
 
@@ -693,7 +696,7 @@ class TestGridEmpiricalParity:
             mode="inner-loop", dt=dt, horizon=10.0, e0=[e0], u0=[0.0], seed=5,
             record_stride=stride,
         )
-        grid = _sweep(self.BASE, axis1, axis2, empirical=True, sim_config=sim)
+        grid = _sweep(self.BASE, axis1, axis2, run=sim)
         expected = []
         for v1, v2 in _grid_values(axis1, axis2):
             p = _cell_params(self.BASE, axis1, axis2, v1, v2)
@@ -735,7 +738,7 @@ class TestGridEmpiricalParity:
             mode="per-step", dt=1e-2, horizon=10.0, e0=[1.0], u0=[0.0], record_stride=4,
         )
         grid = _sweep(self.BASE, AxisSpec("A", 0.5, 3.0, 6), AxisSpec("kprime", 0.5, 300.0, 6),
-                            empirical=True, sim_config=sim)
+                            run=sim)
         assert len(grid) == 36 and math.inf in grid.empirical_rate.tolist()
         assert calls == {"classify": 0, "trajectory": 0}
         # the counters do see a one-run verdict
@@ -754,7 +757,7 @@ class TestGridEmpiricalParity:
         )
         for kprime in (AxisSpec("kprime", 1.0, 1e32, 7), AxisSpec("kprime", 0.5, 400.0, 12)):
             grid = _sweep(self.BASE, AxisSpec("A", -1.0, 3.0, 5), kprime,
-                                empirical=True, sim_config=sim)
+                                run=sim)
             assert grid.empirical_label.tolist() == ["stable"] * len(grid)
             assert grid.empirical_rate.tolist() == [-math.inf] * len(grid)
             assert grid.empirical_residual.tolist() == [0.0] * len(grid)

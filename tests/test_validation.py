@@ -19,7 +19,6 @@ from stabkit.errors import (
     AsymmetricMatrixError,
     DimensionError,
     NonFiniteError,
-    NotPositiveDefiniteError,
     ParameterError,
     SingularMatrixError,
 )
@@ -195,6 +194,13 @@ CASES = {
     # analytic_1d
     "scalar-nan": (lambda: sk.analytic_1d(math.nan, 1.0, 2.0, 0.5, 1.0, 1.0), NonFiniteError,
                    exactly("A must be finite, got nan")),
+    # analytic_1d's arguments are reals, as PlantModel's and DiffusionParams' are
+    "scalar-bool-A": (lambda: sk.analytic_1d(True, 1, 3, 0.5, 1, 1), ParameterError,
+                      exactly("A must be a number, got True")),
+    "scalar-string-A": (lambda: sk.analytic_1d("2", 1, 3, "0.5", 1, 1), ParameterError,
+                        exactly("A must be a number, got '2'")),
+    "scalar-string-sigma": (lambda: sk.analytic_1d(2, 1, 3, "0.5", 1, 1), ParameterError,
+                            exactly("sigma must be a number, got '0.5'")),
     "scalar-zero-sigma": (lambda: sk.analytic_1d(0.5, 1.0, 2.0, 0.0, 1.0, 1.0), ParameterError,
                           exactly("sigma must be > 0, got 0.0")),
     "scalar-gain-overflows": (lambda: sk.analytic_1d(0.5, 1.0, 2.0, 1e-200, 1.0, 1.0),
@@ -218,7 +224,7 @@ CASES = {
                         exactly("axis start must be a number, got True")),
     "axis-fractional-steps": (lambda: sk.AxisSpec("A", 0, 1, 2.5), ParameterError,
                               exactly("axis steps must be a whole number, got 2.5")),
-    # matrixkit: the symmetry contract and the Cholesky factor
+    # matrixkit: the symmetry contract
     "symmetric-bool": (lambda: mk.check_symmetric(BOOL, "S"), ParameterError,
                        exactly("S must hold numbers, got True")),
     "symmetric-nan": (lambda: mk.check_symmetric(NAN, "S"), NonFiniteError,
@@ -227,12 +233,6 @@ CASES = {
                        exactly("S must be square, got shape (2, 3)")),
     "symmetric-asymmetric": (lambda: mk.check_symmetric(ASYMMETRIC, "S"),
                              AsymmetricMatrixError, asymmetric("S")),
-    "cholesky-not-pd": (lambda: mk.cholesky(NOT_PD), NotPositiveDefiniteError,
-                        exactly("matrix is not positive definite")),
-    "cholesky-singular": (lambda: mk.cholesky(SINGULAR), NotPositiveDefiniteError,
-                          exactly("matrix is not positive definite")),
-    "cholesky-huge": (lambda: mk.cholesky(HUGE), NotPositiveDefiniteError,
-                      exactly("matrix is not positive definite")),
 }
 
 
