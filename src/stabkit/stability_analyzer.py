@@ -188,8 +188,11 @@ def _scalar_verdicts(a, b, k, sigma, g, alpha, kprime):
     # min() over the margins in order: a later margin wins only when smaller
     smallest = np.where(margin_kp < margin_cl, margin_kp, margin_cl)
     smallest = np.where(live & (margin_sigma < smallest), margin_sigma, smallest)
-    margins = {"closed_loop": margin_cl, "kprime": margin_kp, "sigma": margin_sigma}
-    return VerdictColumns(label, smallest, margins)
+    return VerdictColumns(
+        label=label,
+        min_margin=smallest,
+        margins={"closed_loop": margin_cl, "kprime": margin_kp, "sigma": margin_sigma},
+    )
 
 
 def second_order_coefficients(A, B, K, Sigma) -> tuple[np.ndarray, np.ndarray]:

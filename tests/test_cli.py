@@ -277,6 +277,15 @@ class TestSweep:
         assert capsys.readouterr().err == "error: axis steps must be a whole number, got 2.5\n"
         assert not out.exists()
 
+    def test_non_numeric_steps_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main(["sweep", "-c", write_config(tmp_path, BASE_DOC), "--axis1", "A:0:1:abc",
+                         "--axis2", "kprime:1:2:2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad axis spec 'A:0:1:abc': could not convert string to float: 'abc'\n"
+        )
+        assert not out.exists()
+
     def test_unknown_axis(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_DOC)
         assert cli.main(

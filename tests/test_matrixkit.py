@@ -302,8 +302,15 @@ class TestLapackContracts:
         # the same pivot ratios, 1e-11 and 1e-13, far from unit scale
         assert _policy_accepts(np.diag([1e-20, 1e-31]))
         assert not _policy_accepts(np.diag([1e20, 1e7]))
-        demos = generate_demonstrations(np.eye(2), np.diag([1e-20, 1e-31]), 4, RngStream(0))
-        assert demos.n_records == 4
+        tiny = np.diag([1e-20, 1e-31])
+        lower = np.linalg.cholesky(ExpertPolicy(K=np.eye(2), Sigma=tiny).Sigma)
+        assert np.allclose(lower @ lower.T, tiny, rtol=1e-15, atol=0.0)
+        demos = generate_demonstrations(np.eye(2), tiny, 4, RngStream(0))
+        rng = RngStream(0)
+        states = rng.standard_normal((4, 2))
+        noise = rng.standard_normal((4, 2)) @ lower.T
+        assert np.array_equal(demos.states, states)
+        assert np.array_equal(demos.actions, -states + noise)
         with pytest.raises(ParameterError, match="^policy Sigma must be positive definite$"):
             generate_demonstrations(np.eye(2), np.diag([1e20, 1e7]), 4, RngStream(0))
 
