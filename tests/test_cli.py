@@ -270,20 +270,15 @@ class TestSweep:
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 2 + 2 * 2
 
-    def test_fractional_steps_are_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("axis, message", [
+        ("A:0:1:2.5", "axis steps must be a whole number, got 2.5"),
+        ("A:0:1:abc", "bad axis spec 'A:0:1:abc': could not convert string to float: 'abc'"),
+    ])
+    def test_bad_step_count_is_refused(self, tmp_path, capsys, axis, message):
         out = tmp_path / "r.csv"
-        assert cli.main(["sweep", "-c", write_config(tmp_path, BASE_DOC), "--axis1", "A:0:1:2.5",
+        assert cli.main(["sweep", "-c", write_config(tmp_path, BASE_DOC), "--axis1", axis,
                          "--axis2", "kprime:1:2:2", "-o", str(out)]) == 2
-        assert capsys.readouterr().err == "error: axis steps must be a whole number, got 2.5\n"
-        assert not out.exists()
-
-    def test_non_numeric_steps_are_refused(self, tmp_path, capsys):
-        out = tmp_path / "r.csv"
-        assert cli.main(["sweep", "-c", write_config(tmp_path, BASE_DOC), "--axis1", "A:0:1:abc",
-                         "--axis2", "kprime:1:2:2", "-o", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: bad axis spec 'A:0:1:abc': could not convert string to float: 'abc'\n"
-        )
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_unknown_axis(self, tmp_path, capsys):
